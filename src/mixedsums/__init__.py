@@ -1,95 +1,27 @@
 """mixedsums: constructive witnesses for mixed sums of squares and
 triangular numbers, with an independent brute-force oracle and a range
-verification engine over the built-in form catalogs."""
+verification engine over the built-in form catalogs.
 
-from .arith import (
-    INT64_MAX,
-    REPRESENT_MAX,
-    WidthError,
-    is_square,
-    is_three_square_feasible,
-    isqrt,
-    strip_fours,
-    triangular,
-)
-from .forms import (
-    FORM_NAMES,
-    Certificate,
-    MixedForm,
-    evaluate,
-    represent,
-    verify,
-)
-from .jacobi import JacobiImage, align_mod3, jacobi_transform
-from .oracle import (
-    FormSpec,
-    FormSpecSyntaxError,
-    Term,
-    WitnessList,
-    count,
-    exists,
-    exists_constrained_two_squares_triangular,
-    first_counterexample,
-    form_spec_of,
-    parse_form_spec,
-    witnesses,
-)
-from .survey import (
-    CATALOG,
-    SOURCES,
-    CatalogEntry,
-    ControlMismatchError,
-    RangeReport,
-    catalog_entries,
-    negative_control,
-    verify_catalog,
-    verify_theorem2_range,
-)
-from .three_squares import NotRepresentableError, ThreeSquareRep, three_squares, two_squares
+The package exports the library surface only; everything else is imported
+from its submodule (``mixedsums.three_squares``, ``mixedsums.oracle``, ...),
+and no exported name shadows a submodule.
+"""
+
+from .forms import Certificate, MixedForm, represent, verify
+from .oracle import count, form_spec_of
+from .survey import negative_control, verify_catalog, verify_theorem2_range
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CATALOG",
     "Certificate",
-    "CatalogEntry",
-    "ControlMismatchError",
-    "FORM_NAMES",
-    "FormSpec",
-    "FormSpecSyntaxError",
-    "INT64_MAX",
-    "JacobiImage",
     "MixedForm",
-    "NotRepresentableError",
-    "REPRESENT_MAX",
-    "RangeReport",
-    "SOURCES",
-    "Term",
-    "ThreeSquareRep",
-    "WidthError",
-    "WitnessList",
-    "align_mod3",
-    "catalog_entries",
     "count",
-    "evaluate",
-    "exists",
-    "exists_constrained_two_squares_triangular",
-    "first_counterexample",
     "form_spec_of",
-    "is_square",
-    "is_three_square_feasible",
-    "isqrt",
-    "jacobi_transform",
     "negative_control",
-    "parse_form_spec",
     "represent",
-    "strip_fours",
-    "three_squares",
-    "triangular",
-    "two_squares",
     "verify",
     "verify_catalog",
     "verify_theorem2_range",
-    "witnesses",
     "__version__",
 ]

@@ -18,7 +18,7 @@ import json
 import sys
 from typing import Sequence
 
-from .forms import FORM_NAMES, MixedForm, represent, verify
+from .forms import FORM_NAMES, FORM_TERMS, Certificate, MixedForm, represent, verify
 from .oracle import FormSpec, count, form_spec_of, parse_form_spec, witnesses
 from .survey import (
     SOURCES,
@@ -117,13 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ── represent ──────────────────────────────────────────────────────────────
 
-_WITNESS_TEMPLATES = {
-    MixedForm.X2_3Y2_T: "({x})^2 + 3*({y})^2 + T({z})",
-    MixedForm.X2_3T_T: "({x})^2 + 3*T({y}) + T({z})",
-    MixedForm.X2_6T_T: "({x})^2 + 6*T({y}) + T({z})",
-    MixedForm.THREE_X2_2T_T: "3*({x})^2 + 2*T({y}) + T({z})",
-    MixedForm.FOUR_X2_2T_T: "4*({x})^2 + 2*T({y}) + T({z})",
-}
+def _witness_line(cert: Certificate) -> str:
+    """The certificate as a sum, e.g. "4*(0)^2 + 2*T(-2) + T(0)"."""
+    slots = []
+    for (c, kind), v in zip(FORM_TERMS[cert.form], (cert.x, cert.y, cert.z)):
+        term = f"({v})^2" if kind == "sq" else f"T({v})"
+        slots.append(term if c == 1 else f"{c}*{term}")
+    return " + ".join(slots)
 
 
 def _cmd_represent(args: argparse.Namespace) -> int:
@@ -140,8 +140,7 @@ def _cmd_represent(args: argparse.Namespace) -> int:
         w.writerow(["form", "n", "x", "y", "z"])
         w.writerow([cert.form.value, cert.n, cert.x, cert.y, cert.z])
     else:
-        body = _WITNESS_TEMPLATES[form].format(x=cert.x, y=cert.y, z=cert.z)
-        print(f"{form.value}: {cert.n} = {body}")
+        print(f"{form.value}: {cert.n} = {_witness_line(cert)}")
     return 0
 
 

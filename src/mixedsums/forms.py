@@ -1,17 +1,20 @@
 """The five complete mixed square/triangular forms and their constructive
-decomposers.
+decomposer.
 
 Every natural number n is representable by each of
 
     x^2 + 3y^2 + t_z,   x^2 + 3t_y + t_z,   x^2 + 6t_y + t_z,
     3x^2 + 2t_y + t_z,  4x^2 + 2t_y + t_z      (t_i = i(i+1)/2, indices in Z),
 
-and each decomposer here produces an explicit witness by splitting a shifted
-multiple of n into three squares and normalizing signs and positions until
-the classical congruence pattern for that form appears.  The intermediate
-congruences are asserted at every step (debug mode), and the final index
-divisions are checked exact unconditionally: a decomposer can only ever
-return a certificate that verifies.
+and one construction produces an explicit witness for each: split a shifted
+multiple of n into three squares, normalize the signs, order the triple
+until the form's congruence pattern appears, rotate it through
+3(x^2+y^2+z^2) = s^2 + 2u^2 + 6v^2 and divide exactly.  FORM_TERMS defines
+each form and _RECIPES holds its construction; nothing else names a form's
+coefficients.  Every congruence the proof relies on is either the ordering
+test or an exact division, and both are checked unconditionally (under
+``python -O`` too): a failed check raises AssertionError, so the decomposer
+can only ever return a certificate that verifies.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
+from itertools import permutations
+from typing import Callable, NamedTuple
 
 from .arith import REPRESENT_MAX, WidthError, triangular
 from .jacobi import align_mod3, jacobi_transform
@@ -37,20 +42,30 @@ class MixedForm(enum.Enum):
 
 FORM_NAMES = tuple(f.value for f in MixedForm)
 
+# (coefficient, "sq" for c*i^2 or "tri" for c*t_i) per slot, in the
+# certificate's (x, y, z) order
+FORM_TERMS: dict[MixedForm, tuple[tuple[int, str], ...]] = {
+    MixedForm.X2_3Y2_T: ((1, "sq"), (3, "sq"), (1, "tri")),
+    MixedForm.X2_3T_T: ((1, "sq"), (3, "tri"), (1, "tri")),
+    MixedForm.X2_6T_T: ((1, "sq"), (6, "tri"), (1, "tri")),
+    MixedForm.THREE_X2_2T_T: ((3, "sq"), (2, "tri"), (1, "tri")),
+    MixedForm.FOUR_X2_2T_T: ((4, "sq"), (2, "tri"), (1, "tri")),
+}
+
+
+def _row(table: dict, form: MixedForm) -> tuple:
+    try:
+        return table[form]
+    except KeyError:
+        raise TypeError(f"not a MixedForm: {form!r}") from None
+
 
 def evaluate(form: MixedForm, x: int, y: int, z: int) -> int:
     """Evaluate the form at an integer witness triple (exact)."""
-    if form is MixedForm.X2_3Y2_T:
-        return x * x + 3 * y * y + triangular(z)
-    if form is MixedForm.X2_3T_T:
-        return x * x + 3 * triangular(y) + triangular(z)
-    if form is MixedForm.X2_6T_T:
-        return x * x + 6 * triangular(y) + triangular(z)
-    if form is MixedForm.THREE_X2_2T_T:
-        return 3 * x * x + 2 * triangular(y) + triangular(z)
-    if form is MixedForm.FOUR_X2_2T_T:
-        return 4 * x * x + 2 * triangular(y) + triangular(z)
-    raise TypeError(f"not a MixedForm: {form!r}")
+    total = 0
+    for (c, kind), i in zip(_row(FORM_TERMS, form), (x, y, z)):
+        total += c * (i * i if kind == "sq" else triangular(i))
+    return total
 
 
 @dataclass(frozen=True)
@@ -93,6 +108,81 @@ def verify(cert: Certificate) -> bool:
     return evaluate(cert.form, cert.x, cert.y, cert.z) == cert.n
 
 
+class _Recipe(NamedTuple):
+    """How represent builds a witness for one form.
+
+    Split mul*n + add into three squares; flip signs (align_mod3 when mod3,
+    else every component to 1 mod 4); take the first order of the triple,
+    in itertools.permutations order, that passes slots; map it to
+    (s, u, v) = jacobi_transform(x, y, z); witness slot i is then
+    (a*s + b*u + c*v + d) / q exactly, for (a, b, c, d, q) = rows[i].
+    """
+
+    mul: int
+    add: int
+    mod3: bool
+    slots: Callable[[int, int, int], bool]
+    rows: tuple[tuple[int, int, int, int, int], ...]
+
+
+_RECIPES = {
+    # 24n+3+6e for e in {0, 1, 3}: the target is odd, never of the excluded
+    # shape, and divisible by 3, so the triple sign-aligns mod 3, giving
+    # x+y+z == 3 (mod 6) and z0 = (s-3)/6.  Its residue 3+6e mod 8 pins the
+    # parity pattern the ordering test asks for.
+    #
+    # e=0: all odd, so some pair agrees mod 4 (the first by position); as
+    # (x, y) it gives x+y-2z == 0 and x-y == 0 (mod 12), and
+    # n = (u/6)^2 + 3(v/6)^2 + t_z0.
+    MixedForm.X2_3Y2_T: _Recipe(
+        24, 3, True,
+        lambda x, y, z: (x - y) % 4 == 0,
+        ((0, 1, 0, 0, 6), (0, 0, 1, 0, 6), (1, 0, 0, -3, 6)),
+    ),
+    # e=1: one odd component (z); the even pair agrees mod 4 automatically,
+    # so x+y-2z == 6 and x-y == 0 (mod 12), and
+    # n = 3(v/6)^2 + 2t_{(u-3)/6} + t_z0.
+    MixedForm.THREE_X2_2T_T: _Recipe(
+        24, 9, True,
+        lambda x, y, z: x % 2 == 0 and y % 2 == 0 and z % 2 == 1,
+        ((0, 0, 1, 0, 6), (0, 1, 0, -3, 6), (1, 0, 0, -3, 6)),
+    ),
+    # e=3: x == 2, y == 0 (mod 4), z odd, so x+y-2z == 0 and x-y == 6
+    # (mod 12), and n = (u/6)^2 + 6t_{(v-3)/6} + t_z0.
+    MixedForm.X2_6T_T: _Recipe(
+        24, 21, True,
+        lambda x, y, z: x % 4 == 2 and y % 4 == 0 and z % 2 == 1,
+        ((0, 1, 0, 0, 6), (0, 0, 1, -3, 6), (1, 0, 0, -3, 6)),
+    ),
+    # 48n+24 = 12(4n+2) strips to 12n+6 == 2 or 6 (mod 8), so it is never
+    # excluded.  Its square-sum is divisible by 3 (sign-aligned mod 3) and
+    # is 8 mod 16, forcing all components even with exactly one multiple of
+    # 4.  That one first as x and the other two as (y, z) give
+    # x+y+z == 0, x+y-2z == 6, x-y == 6 (mod 12), so
+    # n = (s/12)^2 + t_{(u-3)/6} + 3t_{(v-3)/6}, stored in slot order.
+    MixedForm.X2_3T_T: _Recipe(
+        48, 24, True,
+        lambda x, y, z: x % 4 == 0 and y % 4 == 2 and z % 4 == 2,
+        ((1, 0, 0, 0, 12), (0, 0, 1, -3, 6), (0, 1, 0, -3, 6)),
+    ),
+    # 8n+3 == 3 (mod 8) is never excluded and forces all three components
+    # odd.  Flipped to 1 mod 4 they are 1 or 5 mod 8, so some pair agrees
+    # mod 8 (all three agreeing: the two smallest, ascending); with that
+    # pair as (x, y) and the leftover as z,
+    #
+    #     8n+3 = 2((x-y)/2)^2 + 2((x+y)/2)^2 + z^2
+    #          = 2(4 x0)^2 + 2(2 y0 + 1)^2 + (2 z0 + 1)^2
+    #
+    # for x0 = (x-y)/8 = v/4, y0 = (x+y-2)/4 = (s+u-3)/6 and
+    # z0 = (z-1)/2 = (s-2u-3)/6, which unwinds to n = 4x0^2 + 2t_y0 + t_z0.
+    MixedForm.FOUR_X2_2T_T: _Recipe(
+        8, 3, False,
+        lambda x, y, z: (x - y) % 8 == 0 and ((x - z) % 8 != 0 or x <= y <= z),
+        ((0, 0, 1, 0, 4), (1, 1, 0, -3, 6), (1, -2, 0, -3, 6)),
+    ),
+}
+
+
 def _check_request(n: int) -> None:
     if n < 0:
         raise ValueError(f"n must be a natural number, got {n}")
@@ -109,140 +199,21 @@ def _exact_div(num: int, den: int) -> int:
 
 def represent(form: MixedForm, n: int) -> Certificate:
     """Constructive witness for n under the given form (always succeeds)."""
-    if form is MixedForm.FOUR_X2_2T_T:
-        return rep_4x2_2t_t(n)
-    if form is MixedForm.X2_3T_T:
-        return rep_x2_3t_t(n)
-    if form is MixedForm.X2_3Y2_T:
-        return rep_eps(n, 0)
-    if form is MixedForm.THREE_X2_2T_T:
-        return rep_eps(n, 1)
-    if form is MixedForm.X2_6T_T:
-        return rep_eps(n, 3)
-    raise TypeError(f"not a MixedForm: {form!r}")
-
-
-def rep_4x2_2t_t(n: int) -> Certificate:
-    """Witness n = 4x^2 + 2t_y + t_z from a three-square split of 8n+3.
-
-    8n+3 == 3 (mod 8) is never excluded and forces all three components odd.
-    Flipping each to be 1 mod 4 leaves residues 1 or 5 mod 8, so some pair
-    agrees mod 8; with that pair as (x, y) and the leftover as z,
-
-        8n+3 = 2((x-y)/2)^2 + 2((x+y)/2)^2 + z^2
-             = 2(4 x0)^2 + 2(2 y0 + 1)^2 + (2 z0 + 1)^2
-
-    for x0=(x-y)/8, y0=(x+y-2)/4, z0=(z-1)/2, which unwinds to the claim.
-    """
+    recipe = _row(_RECIPES, form)
     _check_request(n)
-    rep = three_squares(8 * n + 3)
-    comps = [_to_one_mod4(c) for c in (rep.x, rep.y, rep.z)]
-    x, y, z = _pick_mod8_pair(comps)
-    assert x % 8 == y % 8 and z % 4 == 1
-    x0 = _exact_div(x - y, 8)
-    y0 = _exact_div(x + y - 2, 4)
-    z0 = _exact_div(z - 1, 2)
-    return Certificate(MixedForm.FOUR_X2_2T_T, n, x0, y0, z0)
-
-
-def _to_one_mod4(c: int) -> int:
-    assert c % 2 == 1, f"component {c} should be odd"
-    return c if c % 4 == 1 else -c
-
-
-def _pick_mod8_pair(comps: list[int]) -> tuple[int, int, int]:
-    # all three in one class mod 8: take the two smallest, ascending
-    r = [c % 8 for c in comps]
-    if r[0] == r[1] == r[2]:
-        s = sorted(comps)
-        return s[0], s[1], s[2]
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        if r[i] == r[j]:
-            return comps[i], comps[j], comps[k]
-    raise AssertionError(f"no pair congruent mod 8 in {comps}")
-
-
-def rep_x2_3t_t(n: int) -> Certificate:
-    """Witness n = x^2 + 3t_y + t_z from a three-square split of 12(4n+2).
-
-    The target strips to 12n+6 == 2 or 6 (mod 8), so it is never excluded.
-    Its square-sum is divisible by 3 (components get sign-aligned mod 3) and
-    is 8 mod 16, forcing all components even with exactly one multiple of 4.
-    Putting that one first as x and the other two as (y, z) gives
-
-        x+y+z == 0,  x+y-2z == 6,  x-y == 6   (mod 12),
-
-    and pushing the triple through the rotation identity yields
-    n = x0^2 + t_{y0} + 3 t_{z0}.  The certificate stores the witness in the
-    form's slot order x^2 + 3t + t, i.e. (x0, z0, y0).
-    """
-    _check_request(n)
-    rep = three_squares(12 * (4 * n + 2))
-    a = align_mod3(rep.x, rep.y, rep.z)
-    quads = [c for c in a if c % 4 == 0]
-    twos = [c for c in a if c % 4 == 2]
-    assert len(quads) == 1 and len(twos) == 2, f"parity pattern broken in {a}"
-    x, y, z = quads[0], twos[0], twos[1]
-    assert (x + y + z) % 12 == 0
-    assert (x + y - 2 * z) % 12 == 6
-    assert (x - y) % 12 == 6
-    s, u, v = jacobi_transform(x, y, z)
-    x0 = _exact_div(s, 12)
-    y0 = _exact_div(u - 3, 6)
-    z0 = _exact_div(v - 3, 6)
-    return Certificate(MixedForm.X2_3T_T, n, x0, z0, y0)
-
-
-def rep_eps(n: int, eps: int) -> Certificate:
-    """One constructive branch per eps in {0, 1, 3}: split 24n + 3 + 6*eps.
-
-    The target is odd (never excluded) and divisible by 3, so the triple
-    sign-aligns mod 3.  Its residue 3 + 6*eps mod 8 pins the parity pattern:
-
-      eps=0: all odd; relabel so x == y (mod 4)   -> n = x0^2 + 3y0^2 + t_z0
-      eps=1: one odd (z); the even pair agrees mod 4 automatically
-                                                  -> n = 3x0^2 + 2t_y0 + t_z0
-      eps=3: x == 2, y == 0 (mod 4), z odd        -> n = x0^2 + 6t_y0 + t_z0
-
-    with z0 = (s-3)/6 and (x0, y0) read off the rotation image (s, u, v).
-    """
-    _check_request(n)
-    if eps not in (0, 1, 3):
-        raise ValueError(f"eps must be 0, 1 or 3, got {eps}")
-    rep = three_squares(24 * n + 3 + 6 * eps)
-    a = align_mod3(rep.x, rep.y, rep.z)
-    if eps == 0:
-        assert all(c % 2 == 1 for c in a), f"expected all odd in {a}"
-        x, y, z = _pick_mod4_pair(a)
-    elif eps == 1:
-        evens = [c for c in a if c % 2 == 0]
-        odds = [c for c in a if c % 2 == 1]
-        assert len(evens) == 2 and len(odds) == 1, f"parity pattern broken in {a}"
-        x, y = evens
-        z = odds[0]
-        assert (x - y) % 4 == 0
+    # three_squares, align_mod3 and jacobi_transform are looked up in the
+    # module globals at each call, never stored in _RECIPES, so tracing and
+    # tests can rebind them
+    rep = three_squares(recipe.mul * n + recipe.add)
+    if recipe.mod3:
+        comps = align_mod3(rep.x, rep.y, rep.z)
     else:
-        halfs = [c for c in a if c % 4 == 2]
-        quads = [c for c in a if c % 4 == 0]
-        odds = [c for c in a if c % 2 == 1]
-        assert len(halfs) == len(quads) == len(odds) == 1, f"parity pattern broken in {a}"
-        x, y, z = halfs[0], quads[0], odds[0]
-    assert (x + y + z) % 6 == 3
-    assert (x + y - 2 * z) % 12 == (6 if eps == 1 else 0)
-    assert (x - y) % 12 == (6 if eps == 3 else 0)
+        comps = tuple(c if c % 4 == 1 else -c for c in (rep.x, rep.y, rep.z))
+    for x, y, z in permutations(comps):
+        if recipe.slots(x, y, z):
+            break
+    else:
+        raise AssertionError(f"construction broke: no order of {comps} fits {form.value}")
     s, u, v = jacobi_transform(x, y, z)
-    z0 = _exact_div(s - 3, 6)
-    if eps == 0:
-        return Certificate(MixedForm.X2_3Y2_T, n, _exact_div(u, 6), _exact_div(v, 6), z0)
-    if eps == 1:
-        return Certificate(MixedForm.THREE_X2_2T_T, n, _exact_div(v, 6), _exact_div(u - 3, 6), z0)
-    return Certificate(MixedForm.X2_6T_T, n, _exact_div(u, 6), _exact_div(v - 3, 6), z0)
-
-
-def _pick_mod4_pair(a: tuple[int, int, int]) -> tuple[int, int, int]:
-    # first pair (by position) sharing a class mod 4; stable for ties
-    r = [c % 4 for c in a]
-    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-        if r[i] == r[j]:
-            return a[i], a[j], a[k]
-    raise AssertionError(f"no pair congruent mod 4 in {a}")
+    x0, y0, z0 = (_exact_div(a * s + b * u + c * v + d, q) for a, b, c, d, q in recipe.rows)
+    return Certificate(form, n, x0, y0, z0)

@@ -3,10 +3,10 @@
 Everything here is deliberately naive.  Representations are found by direct
 enumeration over integer indices, using no number theory beyond recognizing
 a perfect square (exact isqrt) and a triangular number (8v+1 a perfect
-square).  The constructive decomposers are judged against these routines,
+square).  The constructive decomposer is judged against these routines,
 never the other way around, so this module must stay independent of the
-construction machinery: it imports only the named forms (to translate them
-into term lists) and the width checks.
+construction machinery: it imports only the named forms and their term
+table (to translate them into term lists) and the width checks.
 
 Counting convention: every coordinate ranges over all of Z within its
 evaluation bound.  Sign pairs x, -x of a square index and the index pair
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .arith import _check_natural, isqrt
-from .forms import MixedForm
+from .forms import FORM_TERMS, MixedForm
 
 
 class Term(NamedTuple):
@@ -85,18 +85,9 @@ def parse_form_spec(text: str) -> FormSpec:
     return FormSpec((terms[0], terms[1], terms[2]))
 
 
-_FORM_TERMS = {
-    MixedForm.X2_3Y2_T: ((1, "sq"), (3, "sq"), (1, "tri")),
-    MixedForm.X2_3T_T: ((1, "sq"), (3, "tri"), (1, "tri")),
-    MixedForm.X2_6T_T: ((1, "sq"), (6, "tri"), (1, "tri")),
-    MixedForm.THREE_X2_2T_T: ((3, "sq"), (2, "tri"), (1, "tri")),
-    MixedForm.FOUR_X2_2T_T: ((4, "sq"), (2, "tri"), (1, "tri")),
-}
-
-
 def form_spec_of(form: MixedForm) -> FormSpec:
     """Term list of a named mixed form, slots in evaluation order."""
-    a, b, c = _FORM_TERMS[form]
+    a, b, c = FORM_TERMS[form]
     return FormSpec((Term(*a), Term(*b), Term(*c)))
 
 
@@ -254,18 +245,6 @@ def witnesses(spec: FormSpec, n: int, limit: int) -> WitnessList:
         if truncated:
             break
     return WitnessList(spec, n, limit, tuple(found), truncated)
-
-
-def first_counterexample(
-    spec: FormSpec, lo: int, hi: int, *, odd_only: bool = False
-) -> int | None:
-    """Smallest n in [lo, hi] (odd only, if asked) not represented by spec."""
-    for n in range(lo, hi + 1):
-        if odd_only and n % 2 == 0:
-            continue
-        if not exists(spec, n):
-            return n
-    return None
 
 
 def exists_constrained_two_squares_triangular(n: int) -> bool:

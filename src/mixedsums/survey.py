@@ -17,6 +17,7 @@ reports byte-for-byte identical whatever the worker count.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -230,6 +231,11 @@ def _check_range(lo: int, hi: int) -> None:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
 
 
+def _pool_size(jobs: int, units: int) -> int:
+    """Worker processes for a scan: never more than the units or the CPUs."""
+    return min(jobs, units, os.cpu_count() or 1)
+
+
 def _run_scans(
     tasks: Sequence[tuple[CatalogEntry, str]],
     lo: int,
@@ -242,8 +248,9 @@ def _run_scans(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     chunks = _chunk_bounds(lo, hi, chunk_size)
     units = [(entry, mode, clo, chi) for entry, mode in tasks for clo, chi in chunks]
-    if jobs > 1 and len(units) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = _pool_size(jobs, len(units))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, units))
     else:
         results = [_scan_chunk(u) for u in units]

@@ -1,17 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixedsums
 from mixedsums.arith import REPRESENT_MAX, WidthError
 from mixedsums.forms import (
     Certificate,
     MixedForm,
     evaluate,
-    rep_eps,
     represent,
     verify,
 )
@@ -99,9 +103,49 @@ def test_request_bounds():
         assert naive_evaluate(form, cert.x, cert.y, cert.z) == REPRESENT_MAX
 
 
-def test_rep_eps_rejects_bad_branch():
-    with pytest.raises(ValueError):
-        rep_eps(5, 2)
+# Run under python -O: the mod-3 sign alignment is replaced by the identity,
+# and every n whose three-square split has mixed residues mod 3 (so x+y+z is
+# not divisible by 3) must make represent raise instead of returning.
+_BROKEN_ALIGNMENT = """
+import json, sys
+import mixedsums.forms as forms
+
+mixed = []
+
+def unaligned(x, y, z):
+    mixed.append(len({c % 3 for c in (x, y, z)}) > 1)
+    return x, y, z
+
+forms.align_mod3 = unaligned
+rows = []
+for form in forms.MixedForm:
+    for n in range(200):
+        mixed.clear()
+        try:
+            outcome = "verifies" if forms.verify(forms.represent(form, n)) else "wrong"
+        except AssertionError:
+            outcome = "raised"
+        rows.append([form.value, n, bool(mixed) and mixed[0], outcome])
+print(json.dumps({"optimize": sys.flags.optimize, "debug": __debug__, "rows": rows}))
+"""
+
+
+def test_broken_step_raises_under_python_O():
+    src = str(Path(mixedsums.__file__).parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_ALIGNMENT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1 and out["debug"] is False
+    rows = out["rows"]
+    assert not [r for r in rows if r[3] == "wrong"]
+    broken = [r for r in rows if r[2]]
+    assert len(broken) > 100
+    assert [r for r in broken if r[3] != "raised"] == []
 
 
 def test_certificate_json_golden():

@@ -12,7 +12,6 @@ from mixedsums.oracle import (
     count,
     exists,
     exists_constrained_two_squares_triangular,
-    first_counterexample,
     form_spec_of,
     parse_form_spec,
     witnesses,
@@ -156,25 +155,6 @@ def test_constructive_certificates_appear_in_enumeration():
             spec = form_spec_of(form)
             wl = witnesses(spec, n, count(spec, n))
             assert (cert.x, cert.y, cert.z) in wl.items
-
-
-# ── counterexample search ──────────────────────────────────────────────────
-
-
-def test_first_counterexample_three_squares():
-    assert first_counterexample(THREE_SQUARES, 0, 10) == 7
-    assert first_counterexample(THREE_SQUARES, 0, 6) is None
-    assert first_counterexample(THREE_SQUARES, 8, 20) == 15
-
-
-def test_first_counterexample_odd_filter():
-    # 28 = 4(8*0+7) is even, so the odd-only scan walks past it
-    assert first_counterexample(THREE_SQUARES, 24, 30) == 28
-    assert first_counterexample(THREE_SQUARES, 24, 30, odd_only=True) is None
-
-
-def test_first_counterexample_complete_form():
-    assert first_counterexample(form_spec_of(MixedForm.X2_3Y2_T), 0, 1000) is None
 
 
 # ── the parity-constrained two-squares predicate ───────────────────────────

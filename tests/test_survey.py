@@ -12,6 +12,7 @@ from mixedsums.survey import (
     negative_control,
     verify_catalog,
     verify_theorem2_range,
+    _pool_size,
 )
 
 from bruteforce import gauss_legendre_excluded
@@ -151,6 +152,18 @@ def test_control_partitioning_keeps_order():
     b = negative_control(0, 300, jobs=3, chunk_size=32)
     assert a.counterexamples == b.counterexamples
     assert list(a.counterexamples) == sorted(a.counterexamples)
+
+
+def test_pool_size_is_bounded(monkeypatch):
+    import mixedsums.survey as sv
+
+    monkeypatch.setattr(sv.os, "cpu_count", lambda: 8)
+    assert _pool_size(10**9, 10**6) == 8
+    assert _pool_size(10**9, 3) == 3
+    assert _pool_size(5, 10**6) == 5
+    assert _pool_size(1, 100) == 1
+    monkeypatch.setattr(sv.os, "cpu_count", lambda: None)
+    assert _pool_size(10**9, 10**6) == 1
 
 
 # ── negative control ───────────────────────────────────────────────────────
