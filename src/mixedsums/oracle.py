@@ -8,6 +8,11 @@ never the other way around, so this module must stay independent of the
 construction machinery: it imports only the named forms and their term
 table (to translate them into term lists) and the width checks.
 
+Range windows (`representable_window`) enumerate the same term values, but
+over a whole range at once: the represented numbers up to hi are the sumset
+of the three slots' value sets, built as Python-integer bitsets with one
+shift-OR per value of the second and third slot.
+
 Counting convention: every coordinate ranges over all of Z within its
 evaluation bound.  Sign pairs x, -x of a square index and the index pair
 i, -i-1 of a triangular value are distinct witnesses.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import _check_natural, isqrt
 from .forms import FORM_TERMS, MixedForm
@@ -207,6 +212,62 @@ def count(spec: FormSpec, n: int) -> int:
             if mc:
                 total += ma * mb * mc
     return total
+
+
+def _check_window(lo: int, hi: int) -> None:
+    _check_natural(lo, "lo")
+    _check_natural(hi, "hi")
+    if lo > hi:
+        raise ValueError(f"empty window: lo={lo} > hi={hi}")
+
+
+def _values(term: Term, budget: int) -> Iterator[int]:
+    return (v for v, _ in _term_values(term, budget))
+
+
+def _bits(values: Iterable[int], hi: int) -> int:
+    """Bitset with bit v set for each v in values (all v <= hi)."""
+    buf = bytearray(hi // 8 + 1)
+    for v in values:
+        buf[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _shifted_union(bits: int, shifts: Iterable[int], lo: int, hi: int) -> int:
+    """Bit k set iff lo + k <= hi is u + v for a set bit u and some v in shifts."""
+    out = 0
+    for v in shifts:
+        out |= bits >> (lo - v) if v <= lo else bits << (v - lo)
+    return out & ((1 << (hi - lo + 1)) - 1)
+
+
+def representable_window(spec: FormSpec, lo: int, hi: int) -> int:
+    """Bitset over [lo, hi]: bit k is set iff lo + k is represented by spec.
+
+    The sumset of the three slots' value sets up to hi, so it costs
+    O(sqrt(hi)) shift-ORs of (hi + 1)-bit integers whatever the width.
+    """
+    _check_window(lo, hi)
+    # the slot with the most values (c*t_i has as many as 2c*x^2) becomes the
+    # shifted bitset and the sparser two supply the shifts; any order gives
+    # the same sumset
+    a, b, c = sorted(spec.terms, key=lambda t: t.coeff * (2 if t.kind == "sq" else 1))
+    ab = _shifted_union(_bits(_values(a, hi), hi), _values(b, hi), 0, hi)
+    return _shifted_union(ab, _values(c, hi), lo, hi)
+
+
+def constrained_two_squares_triangular_window(lo: int, hi: int) -> int:
+    """`exists_constrained_two_squares_triangular` over [lo, hi] as a bitset.
+
+    Split by parity: x^2 + y^2 with x, y of opposite parity is the sumset of
+    the even and the odd squares, x = y > 0 adds 2x^2, and every triangular
+    number shifts the union.
+    """
+    _check_window(lo, hi)
+    squares = [x * x for x in range(isqrt(hi) + 1)]
+    pairs = _shifted_union(_bits(squares[0::2], hi), squares[1::2], 0, hi)
+    pairs |= _bits((2 * s for s in squares[1:] if 2 * s <= hi), hi)
+    return _shifted_union(pairs, _values(Term(1, "tri"), hi), lo, hi)
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,29 @@ from mixedsums.oracle import (
     FormSpec,
     FormSpecSyntaxError,
     Term,
+    constrained_two_squares_triangular_window,
     count,
     exists,
     exists_constrained_two_squares_triangular,
     form_spec_of,
     parse_form_spec,
+    representable_window,
     witnesses,
 )
+from mixedsums.survey import CATALOG
 
 from bruteforce import all_witnesses, constrained_two_squares_tri, naive_count
 
 THREE_SQUARES = FormSpec((Term(1, "sq"), Term(1, "sq"), Term(1, "sq")))
+
+# every distinct term list the catalogs scan, plus the negative control
+SCANNED_SPECS = list(
+    dict.fromkeys(
+        [e.spec if e.spec is not None else form_spec_of(e.form)
+         for e in CATALOG if e.predicate is None]
+        + [THREE_SQUARES]
+    )
+)
 
 
 def spec_terms(spec: FormSpec) -> list[tuple[int, str]]:
@@ -169,3 +181,77 @@ def test_constrained_predicate_matches_naive():
 def test_constrained_predicate_edges():
     assert not exists_constrained_two_squares_triangular(0)
     assert all(exists_constrained_two_squares_triangular(n) for n in range(1, 301))
+
+
+# ── range windows ──────────────────────────────────────────────────────────
+
+
+def window_flags(window: int, lo: int, hi: int) -> list[bool]:
+    assert window >> (hi - lo + 1) == 0, "bits beyond the window"
+    return [window >> (n - lo) & 1 == 1 for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize("spec", SCANNED_SPECS, ids=str)
+def test_window_matches_exists_on_prefix(spec):
+    flags = window_flags(representable_window(spec, 0, 2000), 0, 2000)
+    assert flags == [exists(spec, n) for n in range(2001)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(SCANNED_SPECS),
+    st.integers(min_value=0, max_value=3 * 10**4),
+    st.integers(min_value=1, max_value=300),
+)
+def test_window_matches_exists_anywhere(spec, lo, width):
+    hi = lo + width - 1
+    flags = window_flags(representable_window(spec, lo, hi), lo, hi)
+    assert flags == [exists(spec, n) for n in range(lo, hi + 1)]
+
+
+def test_predicate_window_matches_pointwise():
+    flags = window_flags(constrained_two_squares_triangular_window(0, 2000), 0, 2000)
+    assert flags == [exists_constrained_two_squares_triangular(n) for n in range(2001)]
+    assert not flags[0] and all(flags[1:])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=0, max_value=3 * 10**4), st.integers(min_value=1, max_value=300))
+def test_predicate_window_matches_pointwise_anywhere(lo, width):
+    hi = lo + width - 1
+    flags = window_flags(constrained_two_squares_triangular_window(lo, hi), lo, hi)
+    assert flags == [exists_constrained_two_squares_triangular(n) for n in range(lo, hi + 1)]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        form_spec_of(MixedForm.X2_3Y2_T),
+        form_spec_of(MixedForm.FOUR_X2_2T_T),
+        parse_form_spec("1*sq+2*sq+4*sq"),
+        parse_form_spec("1*sq+5*tri+2*tri"),
+        THREE_SQUARES,
+    ],
+    ids=str,
+)
+def test_window_and_exists_match_bruteforce(spec):
+    flags = window_flags(representable_window(spec, 0, 200), 0, 200)
+    truth = [naive_count(spec_terms(spec), n) > 0 for n in range(201)]
+    assert flags == truth
+    assert [exists(spec, n) for n in range(201)] == truth
+
+
+def test_predicate_window_and_exists_match_bruteforce():
+    flags = window_flags(constrained_two_squares_triangular_window(0, 200), 0, 200)
+    truth = [constrained_two_squares_tri(n) for n in range(201)]
+    assert flags == truth
+    assert [exists_constrained_two_squares_triangular(n) for n in range(201)] == truth
+
+
+def test_window_rejects_bad_bounds():
+    with pytest.raises(ValueError):
+        representable_window(THREE_SQUARES, 5, 4)
+    with pytest.raises(ValueError):
+        representable_window(THREE_SQUARES, -1, 4)
+    with pytest.raises(ValueError):
+        constrained_two_squares_triangular_window(3, 2)

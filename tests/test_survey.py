@@ -1,7 +1,15 @@
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mixedsums
+import mixedsums.survey as sv
 from mixedsums.forms import MixedForm
 from mixedsums.survey import (
     CATALOG,
@@ -155,8 +163,6 @@ def test_control_partitioning_keeps_order():
 
 
 def test_pool_size_is_bounded(monkeypatch):
-    import mixedsums.survey as sv
-
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 8)
     assert _pool_size(10**9, 10**6) == 8
     assert _pool_size(10**9, 3) == 3
@@ -164,6 +170,89 @@ def test_pool_size_is_bounded(monkeypatch):
     assert _pool_size(1, 100) == 1
     monkeypatch.setattr(sv.os, "cpu_count", lambda: None)
     assert _pool_size(10**9, 10**6) == 1
+
+
+# ── sieve path and pointwise judge ─────────────────────────────────────────
+
+
+class SieveCalled(Exception):
+    pass
+
+
+def _no_sieve(spec, lo, hi):
+    raise SieveCalled(f"{spec} [{lo}, {hi}]")
+
+
+def test_narrow_window_at_large_n_stays_pointwise(monkeypatch):
+    monkeypatch.setattr(sv, "representable_window", _no_sieve)
+    (r,) = verify_theorem2_range(10**9, 10**9 + 1, mode="oracle", forms=[MixedForm.X2_6T_T])
+    assert (r.verified_count, r.counterexamples) == (2, ())
+
+
+def test_wide_window_uses_the_sieve(monkeypatch):
+    monkeypatch.setattr(sv, "representable_window", _no_sieve)
+    with pytest.raises(SieveCalled):
+        verify_theorem2_range(0, 500, mode="oracle", forms=[MixedForm.X2_6T_T])
+
+
+def test_constructive_scan_never_sieves(monkeypatch):
+    monkeypatch.setattr(sv, "representable_window", _no_sieve)
+    (r,) = verify_theorem2_range(0, 500, mode="constructive", forms=[MixedForm.X2_6T_T])
+    assert r.verified_count == 501
+
+
+def _flip_window_bit(monkeypatch, k):
+    real = sv.representable_window
+    monkeypatch.setattr(
+        sv, "representable_window", lambda spec, lo, hi: real(spec, lo, hi) ^ 1 << k
+    )
+
+
+def test_flipped_sieve_bit_is_caught(monkeypatch):
+    _flip_window_bit(monkeypatch, 250)
+    with pytest.raises(AssertionError, match=r"theorem2:x2\+6t\+t: .*n=250"):
+        verify_theorem2_range(0, 500, mode="oracle", forms=[MixedForm.X2_6T_T])
+
+
+def test_flipped_first_bit_is_caught(monkeypatch):
+    # a spurious "represented" mark is only re-judged at the chunk's first n
+    _flip_window_bit(monkeypatch, 0)
+    with pytest.raises(AssertionError, match=r"control:1\*sq\+1\*sq\+1\*sq: .*n=7"):
+        negative_control(7, 300)
+
+
+# Run under python -O: one bit of the sieve window is flipped, and the scan
+# must still raise through the pointwise judge rather than report n=250 as a
+# counterexample.
+_FLIPPED_BIT = """
+import json, sys
+import mixedsums.survey as sv
+from mixedsums.forms import MixedForm
+
+real = sv.representable_window
+sv.representable_window = lambda spec, lo, hi: real(spec, lo, hi) ^ 1 << 250
+try:
+    sv.verify_theorem2_range(0, 500, mode="oracle", forms=[MixedForm.X2_6T_T])
+    outcome = "returned"
+except AssertionError as exc:
+    outcome = str(exc)
+print(json.dumps({"optimize": sys.flags.optimize, "debug": __debug__, "outcome": outcome}))
+"""
+
+
+def test_flipped_sieve_bit_is_caught_under_python_O():
+    src = str(Path(mixedsums.__file__).parents[1])
+    path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _FLIPPED_BIT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["optimize"] == 1 and out["debug"] is False
+    assert out["outcome"].startswith("theorem2:x2+6t+t: ")
+    assert "n=250" in out["outcome"]
 
 
 # ── negative control ───────────────────────────────────────────────────────
@@ -185,8 +274,6 @@ def test_negative_control_accounting():
 
 
 def test_control_mismatch_is_loud(monkeypatch):
-    import mixedsums.survey as sv
-
     monkeypatch.setattr(sv, "is_three_square_feasible", lambda m: True)
     with pytest.raises(ControlMismatchError):
         negative_control(0, 20)
