@@ -46,12 +46,6 @@ def isqrt(m: int) -> int:
     return math.isqrt(m)
 
 
-def is_square(m: int) -> bool:
-    _check_natural(m)
-    r = math.isqrt(m)
-    return r * r == m
-
-
 def strip_fours(m: int) -> tuple[int, int]:
     """Write m = 4**k * core with core not divisible by 4; returns (k, core)."""
     _check_natural(m)

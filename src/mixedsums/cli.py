@@ -16,10 +16,10 @@ import argparse
 import csv
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .forms import FORM_NAMES, FORM_TERMS, Certificate, MixedForm, represent, verify
-from .oracle import FormSpec, count, form_spec_of, parse_form_spec, witnesses
+from .oracle import count, spec_of, witnesses
 from .survey import (
     SOURCES,
     ControlMismatchError,
@@ -35,15 +35,6 @@ def _parse_form_name(token: str) -> MixedForm:
         return MixedForm(token)
     except ValueError:
         raise ValueError(f"unknown form {token!r}, expected one of {', '.join(FORM_NAMES)}")
-
-
-def _parse_any_form(token: str) -> FormSpec:
-    """Accept a named form spelling or a '<coeff>*sq+...' term list."""
-    try:
-        return form_spec_of(MixedForm(token))
-    except ValueError:
-        pass
-    return parse_form_spec(token)
 
 
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
@@ -115,7 +106,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ── output ─────────────────────────────────────────────────────────────────
+
+
+def _emit(
+    fmt: str, doc: str, header: Sequence[str], rows: Iterable[Sequence], lines: Iterable[str]
+) -> None:
+    """Print one result as the JSON text doc, as CSV (header, then rows) or
+    as human lines."""
+    if fmt == "json":
+        print(doc)
+    elif fmt == "csv":
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    else:
+        for line in lines:
+            print(line)
+
+
+def _compact(obj: object) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
 # ── represent ──────────────────────────────────────────────────────────────
+
 
 def _witness_line(cert: Certificate) -> str:
     """The certificate as a sum, e.g. "4*(0)^2 + 2*T(-2) + T(0)"."""
@@ -133,69 +148,54 @@ def _cmd_represent(args: argparse.Namespace) -> int:
         print(f"error: certificate for {form.value} n={args.n} failed re-verification",
               file=sys.stderr)
         return 1
-    if args.fmt == "json":
-        print(cert.to_json())
-    elif args.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["form", "n", "x", "y", "z"])
-        w.writerow([cert.form.value, cert.n, cert.x, cert.y, cert.z])
-    else:
-        print(f"{form.value}: {cert.n} = {_witness_line(cert)}")
+    row = [form.value, cert.n, cert.x, cert.y, cert.z]
+    line = f"{form.value}: {cert.n} = {_witness_line(cert)}"
+    _emit(args.fmt, cert.to_json(), ["form", "n", "x", "y", "z"], [row], [line])
     return 0
 
 
 # ── range reports (verify-range, survey, negative-control) ────────────────
 
 
-def _report_dict(r: RangeReport, wall_ms: int) -> dict:
-    return {
-        "entry": r.entry.entry_id,
-        "status": r.entry.status,
-        "lo": r.lo,
-        "hi": r.hi,
-        "verified": r.verified_count,
-        "counterexamples": list(r.counterexamples),
-        "mode": r.mode,
-        "wall_ms": wall_ms,
-    }
-
-
 def _emit_reports(reports: Sequence[RangeReport], fmt: str) -> int:
-    if fmt == "json":
-        # wall time zeroed: machine output is byte-reproducible
-        print(json.dumps([_report_dict(r, 0) for r in reports], separators=(",", ":")))
-    elif fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["entry", "lo", "hi", "verified", "counterexamples", "mode", "wall_ms"])
-        for r in reports:
-            w.writerow(
-                [
-                    r.entry.entry_id,
-                    r.lo,
-                    r.hi,
-                    r.verified_count,
-                    ";".join(str(n) for n in r.counterexamples),
-                    r.mode,
-                    0,
-                ]
-            )
-    else:
-        for r in reports:
-            bad = ";".join(str(n) for n in r.counterexamples) or "none"
-            print(
-                f"{r.entry.entry_id} [{r.lo}, {r.hi}] mode={r.mode}"
-                f" status={r.entry.status} verified={r.verified_count}"
-                f" counterexamples={bad} wall={r.wall_ms}ms"
-            )
-    failed = False
-    for r in reports:
-        if r.counterexamples:
-            failed = True
-            print(
-                f"counterexample: {r.entry.entry_id} fails at n={r.counterexamples[0]}",
-                file=sys.stderr,
-            )
+    # wall time zeroed in JSON and CSV: machine output is byte-reproducible
+    doc = [
+        {
+            "entry": r.entry.entry_id,
+            "status": r.entry.status,
+            "lo": r.lo,
+            "hi": r.hi,
+            "verified": r.verified_count,
+            "counterexamples": list(r.counterexamples),
+            "mode": r.mode,
+            "wall_ms": 0,
+        }
+        for r in reports
+    ]
+    _emit(
+        fmt,
+        _compact(doc),
+        ["entry", "lo", "hi", "verified", "counterexamples", "mode", "wall_ms"],
+        (
+            [r.entry.entry_id, r.lo, r.hi, r.verified_count, _joined(r.counterexamples), r.mode, 0]
+            for r in reports
+        ),
+        (
+            f"{r.entry.entry_id} [{r.lo}, {r.hi}] mode={r.mode}"
+            f" status={r.entry.status} verified={r.verified_count}"
+            f" counterexamples={_joined(r.counterexamples) or 'none'} wall={r.wall_ms}ms"
+            for r in reports
+        ),
+    )
+    failed = [r for r in reports if r.counterexamples]
+    for r in failed:
+        print(f"counterexample: {r.entry.entry_id} fails at n={r.counterexamples[0]}",
+              file=sys.stderr)
     return 1 if failed else 0
+
+
+def _joined(ns: Sequence[int]) -> str:
+    return ";".join(str(n) for n in ns)
 
 
 def _cmd_verify_range(args: argparse.Namespace) -> int:
@@ -222,45 +222,28 @@ def _cmd_negative_control(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    spec = _parse_any_form(args.spec)
+    spec = spec_of(args.spec)
     c = count(spec, args.n)
-    if args.fmt == "json":
-        print(json.dumps({"form": str(spec), "n": args.n, "count": c}, separators=(",", ":")))
-    elif args.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["form", "n", "count"])
-        w.writerow([str(spec), args.n, c])
-    else:
-        print(c)
+    doc = _compact({"form": str(spec), "n": args.n, "count": c})
+    _emit(args.fmt, doc, ["form", "n", "count"], [[str(spec), args.n, c]], [str(c)])
     return 0
 
 
 def _cmd_witnesses(args: argparse.Namespace) -> int:
-    spec = _parse_any_form(args.spec)
+    spec = spec_of(args.spec)
     wl = witnesses(spec, args.n, args.limit)
-    if args.fmt == "json":
-        print(
-            json.dumps(
-                {
-                    "form": str(spec),
-                    "n": wl.n,
-                    "limit": wl.limit,
-                    "witnesses": [list(t) for t in wl.items],
-                    "truncated": wl.truncated,
-                },
-                separators=(",", ":"),
-            )
-        )
-    elif args.fmt == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["form", "n", "x", "y", "z"])
-        for x, y, z in wl.items:
-            w.writerow([str(spec), wl.n, x, y, z])
-    else:
-        for x, y, z in wl.items:
-            print(f"({x}, {y}, {z})")
-        if wl.truncated:
-            print(f"... truncated at {wl.limit}")
+    doc = {
+        "form": str(spec),
+        "n": wl.n,
+        "limit": wl.limit,
+        "witnesses": [list(t) for t in wl.items],
+        "truncated": wl.truncated,
+    }
+    lines = [f"({x}, {y}, {z})" for x, y, z in wl.items]
+    if wl.truncated:
+        lines.append(f"... truncated at {wl.limit}")
+    rows = ([str(spec), wl.n, *t] for t in wl.items)
+    _emit(args.fmt, _compact(doc), ["form", "n", "x", "y", "z"], rows, lines)
     return 0
 
 

@@ -96,6 +96,24 @@ def form_spec_of(form: MixedForm) -> FormSpec:
     return FormSpec((Term(*a), Term(*b), Term(*c)))
 
 
+def spec_of(name: str) -> FormSpec:
+    """The term list a name stands for: a named form spelling ("x2+6t+t")
+    or a term list ("1*sq+2*sq+4*tri")."""
+    try:
+        form = MixedForm(name)
+    except ValueError:
+        return parse_form_spec(name)
+    return form_spec_of(form)
+
+
+def check_range(lo: int, hi: int) -> None:
+    """Reject a range [lo, hi] that is empty or outside the naturals."""
+    _check_natural(lo, "lo")
+    _check_natural(hi, "hi")
+    if lo > hi:
+        raise ValueError(f"empty range: lo={lo} > hi={hi}")
+
+
 # ── value/index enumeration ────────────────────────────────────────────────
 
 
@@ -114,23 +132,6 @@ def _term_values(term: Term, budget: int) -> Iterator[tuple[int, int]]:
             yield v, 2
             i += 1
             v = c * (i * (i + 1) // 2)
-
-
-def _index_count(term: Term, value: int) -> int:
-    """Number of integer indices whose term value equals `value`."""
-    if value < 0:
-        return 0
-    q, r = divmod(value, term.coeff)
-    if r:
-        return 0
-    if term.kind == "sq":
-        s = isqrt(q)
-        if s * s != q:
-            return 0
-        return 1 if q == 0 else 2
-    d = 8 * q + 1
-    s = isqrt(d)
-    return 2 if s * s == d else 0
 
 
 def _slot_indices(term: Term, budget: int) -> Iterator[tuple[int, int]]:
@@ -178,7 +179,9 @@ def exists(spec: FormSpec, n: int) -> bool:
     _check_natural(n, "n")
     # largest coefficient outermost (fewest candidate values), last term
     # solved directly: v is c*square iff c | v and v/c is square, similarly
-    # v is c*triangular iff c | v and 8(v/c)+1 is a perfect square
+    # v is c*triangular iff c | v and 8(v/c)+1 is a perfect square.  The
+    # solve is inlined, not a _third_indices call, because a miss runs this
+    # loop to its end: it is the hot loop of the negative control's misses
     a, b, c = sorted(spec.terms, key=lambda t: -t.coeff)
     cc = c.coeff
     tri = c.kind == "tri"
@@ -208,17 +211,8 @@ def count(spec: FormSpec, n: int) -> int:
     for va, ma in _term_values(a, n):
         rb = n - va
         for vb, mb in _term_values(b, rb):
-            mc = _index_count(c, rb - vb)
-            if mc:
-                total += ma * mb * mc
+            total += ma * mb * len(_third_indices(c, rb - vb))
     return total
-
-
-def _check_window(lo: int, hi: int) -> None:
-    _check_natural(lo, "lo")
-    _check_natural(hi, "hi")
-    if lo > hi:
-        raise ValueError(f"empty window: lo={lo} > hi={hi}")
 
 
 def _values(term: Term, budget: int) -> Iterator[int]:
@@ -247,7 +241,7 @@ def representable_window(spec: FormSpec, lo: int, hi: int) -> int:
     The sumset of the three slots' value sets up to hi, so it costs
     O(sqrt(hi)) shift-ORs of (hi + 1)-bit integers whatever the width.
     """
-    _check_window(lo, hi)
+    check_range(lo, hi)
     # the slot with the most values (c*t_i has as many as 2c*x^2) becomes the
     # shifted bitset and the sparser two supply the shifts; any order gives
     # the same sumset
@@ -263,7 +257,7 @@ def constrained_two_squares_triangular_window(lo: int, hi: int) -> int:
     the even and the odd squares, x = y > 0 adds 2x^2, and every triangular
     number shifts the union.
     """
-    _check_window(lo, hi)
+    check_range(lo, hi)
     squares = [x * x for x in range(isqrt(hi) + 1)]
     pairs = _shifted_union(_bits(squares[0::2], hi), squares[1::2], 0, hi)
     pairs |= _bits((2 * s for s in squares[1:] if 2 * s <= hi), hi)

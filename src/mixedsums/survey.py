@@ -2,13 +2,16 @@
 
 Catalog entries are grouped under fixed source labels (theorem2, theorem1_i,
 theorem1_ii, theorem1_iii, panaitopol); the CLI --source flag filters on
-them.  The theorem2 group holds the five named mixed forms, which can be
-scanned constructively (decompose, then re-verify the certificate) or
-through the brute-force oracle; every other entry is oracle-only.  Each
-entry carries a status tag: "constructive" when witnesses are built by the
-decomposers, "established" for complete statements that are merely
-re-checked here, and "empirical" for coefficient lists whose scan is
-evidence, not proof.
+them.  An entry is defined by its name alone: a named form spelling
+("x2+6t+t"), a canonical term list ("1*sq+2*sq+4*tri") or the one oracle
+predicate ("mixed-parity-two-squares"), so every name but the predicate is
+also a valid `mixedsums count`/`witnesses` SPEC.  The theorem2 group holds
+the five named mixed forms, which can be scanned constructively (decompose,
+then re-verify the certificate) or through the brute-force oracle; every
+other entry is oracle-only.  Each entry carries a status tag:
+"constructive" when witnesses are built by the decomposers, "established"
+for complete statements that are merely re-checked here, and "empirical"
+for coefficient lists whose scan is evidence, not proof.
 
 Scans run in fixed-size chunks (default 2^14 values) so they can be spread
 over a process pool; chunk results are merged in index order, which keeps
@@ -29,16 +32,16 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .arith import _check_natural, is_three_square_feasible
+from .arith import is_three_square_feasible
 from .forms import MixedForm, represent, verify
 from .oracle import (
     FormSpec,
-    Term,
+    check_range,
     constrained_two_squares_triangular_window,
     exists,
     exists_constrained_two_squares_triangular,
-    form_spec_of,
     representable_window,
+    spec_of,
 )
 
 DEFAULT_CHUNK = 1 << 14
@@ -59,9 +62,11 @@ SOURCES = ("theorem2", "theorem1_i", "theorem1_ii", "theorem1_iii", "panaitopol"
 
 DOMAINS = ("all", "positive", "positive_odd")
 
-# oracle predicates a catalog entry may name instead of a term list, each
-# as (pointwise test, window bitset over [lo, hi])
-_PREDICATES: dict[str, tuple[Callable[[int], bool], Callable[[int, int], int]]] = {
+_Judge = Callable[[int], bool]  # n -> is n represented?
+_Window = Callable[[int, int], int]  # (lo, hi) -> bitset, bit k set iff lo + k represented
+
+# oracle predicates a catalog entry may name instead of a term list
+_PREDICATES: dict[str, tuple[_Judge, _Window]] = {
     "mixed-parity-two-squares": (
         exists_constrained_two_squares_triangular,
         constrained_two_squares_triangular_window,
@@ -71,28 +76,44 @@ _PREDICATES: dict[str, tuple[Callable[[int], bool], Callable[[int, int], int]]] 
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One scannable claim: a named form, a term list, or a predicate."""
+    """One scannable claim, defined by its name.
+
+    The name is a named form spelling ("x2+6t+t"), a canonical term list
+    ("1*sq+2*sq+4*tri") or an oracle predicate ("mixed-parity-two-squares");
+    `form`, `spec` and `predicate` are read from it.
+    """
 
     source: str
     name: str
     domain: str
     status: str
-    form: MixedForm | None = None
-    spec: FormSpec | None = None
-    predicate: str | None = None
 
     def __post_init__(self) -> None:
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
-        payloads = (self.form, self.spec, self.predicate)
-        if sum(p is not None for p in payloads) != 1:
-            raise ValueError("exactly one of form/spec/predicate must be set")
-        if self.predicate is not None and self.predicate not in _PREDICATES:
-            raise ValueError(f"unknown predicate {self.predicate!r}")
+        if self.predicate is None:
+            spec_of(self.name)  # raises unless the name is a form or a term list
 
     @property
     def entry_id(self) -> str:
         return f"{self.source}:{self.name}"
+
+    @property
+    def form(self) -> MixedForm | None:
+        """The named form, the only kind of entry with a constructive scan."""
+        try:
+            return MixedForm(self.name)
+        except ValueError:
+            return None
+
+    @property
+    def predicate(self) -> str | None:
+        return self.name if self.name in _PREDICATES else None
+
+    @property
+    def spec(self) -> FormSpec | None:
+        """The entry's term list (parsed on each read); None for a predicate."""
+        return None if self.predicate is not None else spec_of(self.name)
 
 
 @dataclass(frozen=True)
@@ -107,87 +128,40 @@ class RangeReport:
     mode: str
     wall_ms: int
 
-    @property
-    def ok(self) -> bool:
-        return not self.counterexamples
 
-
-def _sst(a: int, b: int, c: int) -> FormSpec:
-    return FormSpec((Term(a, "sq"), Term(b, "sq"), Term(c, "tri")))
-
-
-def _stt(a: int, b: int, c: int) -> FormSpec:
-    return FormSpec((Term(a, "sq"), Term(b, "tri"), Term(c, "tri")))
-
-
-def _sss(a: int, b: int, c: int) -> FormSpec:
-    return FormSpec((Term(a, "sq"), Term(b, "sq"), Term(c, "sq")))
-
-
-def _spec_entry(source: str, status: str, spec: FormSpec, domain: str = "all") -> CatalogEntry:
-    return CatalogEntry(source, str(spec), domain, status, spec=spec)
-
-
-_THEOREM2 = tuple(
-    CatalogEntry("theorem2", f.value, "all", "constructive", form=f) for f in MixedForm
-)
-
-_THEOREM1_I = (
-    _spec_entry("theorem1_i", "established", _stt(4, 1, 1)),
-    CatalogEntry(
-        "theorem1_i",
-        "mixed-parity-two-squares",
-        "positive",
-        "established",
-        predicate="mixed-parity-two-squares",
+# (source, status, domain, entry names); a term list is written in the
+# canonical spelling str(spec_of(name)) == name
+_TABLE = (
+    ("theorem2", "constructive", "all", "x2+3y2+t x2+3t+t x2+6t+t 3x2+2t+t 4x2+2t+t"),
+    ("theorem1_i", "established", "all", "4*sq+1*tri+1*tri"),
+    ("theorem1_i", "established", "positive", "mixed-parity-two-squares"),
+    (
+        "theorem1_ii",
+        "empirical",
+        "all",
+        "1*sq+1*sq+1*tri 1*sq+1*sq+2*tri 1*sq+2*sq+1*tri 1*sq+2*sq+2*tri"
+        " 1*sq+2*sq+4*tri 1*sq+3*sq+1*tri 1*sq+4*sq+1*tri 1*sq+4*sq+2*tri"
+        " 1*sq+8*sq+1*tri 2*sq+2*sq+1*tri",
     ),
+    (
+        "theorem1_iii",
+        "empirical",
+        "all",
+        "1*sq+1*tri+1*tri 1*sq+2*tri+1*tri 1*sq+2*tri+2*tri 1*sq+3*tri+1*tri"
+        " 1*sq+4*tri+1*tri 1*sq+4*tri+2*tri 1*sq+5*tri+2*tri 1*sq+6*tri+1*tri"
+        " 1*sq+8*tri+1*tri 2*sq+1*tri+1*tri 2*sq+2*tri+1*tri 2*sq+4*tri+1*tri"
+        " 3*sq+2*tri+1*tri 4*sq+1*tri+1*tri 4*sq+2*tri+1*tri",
+    ),
+    ("panaitopol", "established", "positive_odd", "1*sq+1*sq+2*sq 1*sq+2*sq+3*sq 1*sq+2*sq+4*sq"),
 )
 
-_THEOREM1_II = tuple(
-    _spec_entry("theorem1_ii", "empirical", _sst(a, b, c))
-    for a, b, c in (
-        (1, 1, 1),
-        (1, 1, 2),
-        (1, 2, 1),
-        (1, 2, 2),
-        (1, 2, 4),
-        (1, 3, 1),
-        (1, 4, 1),
-        (1, 4, 2),
-        (1, 8, 1),
-        (2, 2, 1),
-    )
+CATALOG = tuple(
+    CatalogEntry(source, name, domain, status)
+    for source, status, domain, names in _TABLE
+    for name in names.split()
 )
 
-_THEOREM1_III = tuple(
-    _spec_entry("theorem1_iii", "empirical", _stt(a, b, c))
-    for a, b, c in (
-        (1, 1, 1),
-        (1, 2, 1),
-        (1, 2, 2),
-        (1, 3, 1),
-        (1, 4, 1),
-        (1, 4, 2),
-        (1, 5, 2),
-        (1, 6, 1),
-        (1, 8, 1),
-        (2, 1, 1),
-        (2, 2, 1),
-        (2, 4, 1),
-        (3, 2, 1),
-        (4, 1, 1),
-        (4, 2, 1),
-    )
-)
-
-_PANAITOPOL = tuple(
-    _spec_entry("panaitopol", "established", _sss(a, b, c), domain="positive_odd")
-    for a, b, c in ((1, 1, 2), (1, 2, 3), (1, 2, 4))
-)
-
-CATALOG = _THEOREM2 + _THEOREM1_I + _THEOREM1_II + _THEOREM1_III + _PANAITOPOL
-
-_CONTROL = CatalogEntry("control", "1*sq+1*sq+1*sq", "all", "control", spec=_sss(1, 1, 1))
+_CONTROL = CatalogEntry("control", "1*sq+1*sq+1*sq", "all", "control")
 
 
 def catalog_entries(source_filter: str | None = None) -> tuple[CatalogEntry, ...]:
@@ -210,39 +184,30 @@ def _in_domain(domain: str, n: int) -> bool:
     return n >= 1 and n % 2 == 1
 
 
-def _spec(entry: CatalogEntry) -> FormSpec:
-    return entry.spec if entry.spec is not None else form_spec_of(entry.form)
+def _judges(entry: CatalogEntry, mode: str) -> tuple[_Judge, _Window | None]:
+    """The entry's pointwise judge and, for an oracle scan, its window.
 
-
-def _resolve_check(entry: CatalogEntry, mode: str) -> Callable[[int], bool]:
-    if entry.predicate is not None:
-        return _PREDICATES[entry.predicate][0]
+    exists, represent, verify and representable_window are looked up in the
+    module globals when called, so tracing and tests can rebind them.
+    """
     if mode == "constructive":
-        if entry.form is None:
-            raise ValueError(f"{entry.entry_id} has no constructive decomposer")
         form = entry.form
-        return lambda n: verify(represent(form, n))
-    spec = _spec(entry)
-    return lambda n: exists(spec, n)
-
-
-def _sieve(entry: CatalogEntry, mode: str, lo: int, hi: int) -> str | None:
-    """The chunk's sumset window as "0"/"1" marks indexed by n - lo, or None
-    when the chunk is scanned pointwise (constructive, or too narrow)."""
-    if mode != "oracle" or hi > SIEVE_RATIO * (hi - lo + 1):
-        return None
+        return (lambda n: verify(represent(form, n))), None
     if entry.predicate is not None:
-        window = _PREDICATES[entry.predicate][1](lo, hi)
-    else:
-        window = representable_window(_spec(entry), lo, hi)
-    return format(window, "b").zfill(hi - lo + 1)[::-1]
+        return _PREDICATES[entry.predicate]
+    spec = entry.spec
+    return (lambda n: exists(spec, n)), (lambda lo, hi: representable_window(spec, lo, hi))
 
 
 def _scan_chunk(unit: tuple[CatalogEntry, str, int, int]) -> tuple[int, list[int], float]:
     entry, mode, lo, hi = unit
     t0 = time.perf_counter()
-    check = _resolve_check(entry, mode)
-    marks = _sieve(entry, mode, lo, hi)
+    check, window = _judges(entry, mode)
+    # a wide enough oracle chunk is read from its window as "0"/"1" marks
+    # indexed by n - lo; a narrow one, or a constructive one, is pointwise
+    marks = None
+    if window is not None and hi <= SIEVE_RATIO * (hi - lo + 1):
+        marks = format(window(lo, hi), "b").zfill(hi - lo + 1)[::-1]
     domain = entry.domain
     judged = False
     good = 0
@@ -278,13 +243,6 @@ def _chunk_bounds(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
     return out
 
 
-def _check_range(lo: int, hi: int) -> None:
-    _check_natural(lo, "lo")
-    _check_natural(hi, "hi")
-    if lo > hi:
-        raise ValueError(f"empty range: lo={lo} > hi={hi}")
-
-
 def _pool_size(jobs: int, units: int) -> int:
     """Worker processes for a scan: never more than the units or the CPUs."""
     return min(jobs, units, os.cpu_count() or 1)
@@ -295,12 +253,11 @@ def _run_scans(
     lo: int,
     hi: int,
     jobs: int,
-    chunk_size: int,
 ) -> list[RangeReport]:
-    _check_range(lo, hi)
+    check_range(lo, hi)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    chunks = _chunk_bounds(lo, hi, chunk_size)
+    chunks = _chunk_bounds(lo, hi, DEFAULT_CHUNK)
     units = [(entry, mode, clo, chi) for entry, mode in tasks for clo, chi in chunks]
     workers = _pool_size(jobs, len(units))
     if workers > 1:
@@ -326,14 +283,13 @@ def verify_theorem2_range(
     mode: str = "constructive",
     forms: Sequence[MixedForm] | None = None,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> list[RangeReport]:
     """Scan the five named forms over [lo, hi]; one report per form."""
     if mode not in ("constructive", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
     wanted = tuple(MixedForm) if forms is None else tuple(forms)
-    entries = [e for e in _THEOREM2 if e.form in wanted]
-    return _run_scans([(e, mode) for e in entries], lo, hi, jobs, chunk_size)
+    entries = [e for e in catalog_entries("theorem2") if e.form in wanted]
+    return _run_scans([(e, mode) for e in entries], lo, hi, jobs)
 
 
 def verify_catalog(
@@ -341,25 +297,24 @@ def verify_catalog(
     lo: int = 0,
     hi: int = 10_000,
     jobs: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> list[RangeReport]:
     """Oracle-scan every matching catalog entry over [lo, hi]."""
     entries = catalog_entries(source_filter)
-    return _run_scans([(e, "oracle") for e in entries], lo, hi, jobs, chunk_size)
+    return _run_scans([(e, "oracle") for e in entries], lo, hi, jobs)
 
 
 class ControlMismatchError(RuntimeError):
     """The oracle and the three-square classifier disagreed on the control."""
 
 
-def negative_control(lo: int, hi: int, jobs: int = 1, chunk_size: int = DEFAULT_CHUNK) -> RangeReport:
+def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     """Scan plain three squares and demand the classical exclusion set.
 
     The form x^2 + y^2 + z^2 misses exactly the numbers 4^k(8l+7); finding
     precisely those as counterexamples shows the oracle cannot pass
     vacuously.  A disagreement with the independent classifier raises.
     """
-    report = _run_scans([(_CONTROL, "oracle")], lo, hi, jobs, chunk_size)[0]
+    report = _run_scans([(_CONTROL, "oracle")], lo, hi, jobs)[0]
     expected = tuple(m for m in range(lo, hi + 1) if not is_three_square_feasible(m))
     if report.counterexamples != expected:
         raise ControlMismatchError(

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from mixedsums.arith import (
     INT64_MAX,
     WidthError,
-    is_square,
     is_three_square_feasible,
     isqrt,
     strip_fours,
@@ -43,8 +42,6 @@ def test_isqrt_and_is_square():
     assert isqrt(0) == 0
     assert isqrt(15) == 3
     assert isqrt(16) == 4
-    assert is_square(0) and is_square(49)
-    assert not is_square(48)
     with pytest.raises(ValueError):
         isqrt(-1)
     with pytest.raises(WidthError):

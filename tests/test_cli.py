@@ -6,6 +6,8 @@ import pytest
 
 from mixedsums.cli import main
 from mixedsums.forms import Certificate, MixedForm
+from mixedsums.oracle import spec_of
+from mixedsums.survey import CATALOG
 
 
 def run(capsys, *argv):
@@ -173,6 +175,14 @@ def test_count_golden(capsys):
 def test_count_accepts_form_names(capsys):
     code, out, _ = run(capsys, "count", "4x2+2t+t", "1")
     assert (code, out) == (0, "4\n")
+
+
+def test_count_accepts_every_catalog_name(capsys):
+    for e in CATALOG:
+        if e.predicate is None:
+            code, out, err = run(capsys, "count", e.name, "0", "--json")
+            assert (code, err) == (0, ""), e.name
+            assert json.loads(out)["form"] == str(spec_of(e.name))
 
 
 def test_count_json(capsys):

@@ -177,6 +177,33 @@ def test_certificate_json_rejects_malformed(text):
         Certificate.from_json(text)
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+_NAMES = st.sampled_from([f.value for f in MixedForm])
+# well-formed objects, near-certificates (each field right or wrong, maybe one
+# extra or missing), any JSON value, and any text
+_CERT_TEXT = st.one_of(
+    st.fixed_dictionaries({"form": _NAMES, **{k: st.integers() for k in "nxyz"}}).map(json.dumps),
+    st.dictionaries(
+        st.sampled_from(["form", "n", "x", "y", "z", "w"]), _NAMES | st.integers() | _JSON, min_size=4
+    ).map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(),
+)
+
+
+@given(_CERT_TEXT)
+def test_certificate_json_fuzz(text):
+    try:
+        cert = Certificate.from_json(text)
+    except ValueError:
+        return
+    assert Certificate.from_json(cert.to_json()) == cert
+
+
 def test_certificate_json_field_order():
     cert = represent(MixedForm.X2_6T_T, 44)
     keys = list(json.loads(cert.to_json()).keys())

@@ -16,6 +16,7 @@ from mixedsums.oracle import (
     form_spec_of,
     parse_form_spec,
     representable_window,
+    spec_of,
     witnesses,
 )
 from mixedsums.survey import CATALOG
@@ -27,8 +28,7 @@ THREE_SQUARES = FormSpec((Term(1, "sq"), Term(1, "sq"), Term(1, "sq")))
 # every distinct term list the catalogs scan, plus the negative control
 SCANNED_SPECS = list(
     dict.fromkeys(
-        [e.spec if e.spec is not None else form_spec_of(e.form)
-         for e in CATALOG if e.predicate is None]
+        [e.spec for e in CATALOG if e.predicate is None]
         + [THREE_SQUARES]
     )
 )
@@ -77,6 +77,14 @@ def test_named_form_specs():
     assert str(form_spec_of(MixedForm.X2_3Y2_T)) == "1*sq+3*sq+1*tri"
     assert str(form_spec_of(MixedForm.FOUR_X2_2T_T)) == "4*sq+2*tri+1*tri"
     assert str(form_spec_of(MixedForm.THREE_X2_2T_T)) == "3*sq+2*tri+1*tri"
+
+
+def test_spec_of_reads_form_names_and_term_lists():
+    for form in MixedForm:
+        assert spec_of(form.value) == form_spec_of(form)
+    assert spec_of("1*sq+2*sq+4*tri") == parse_form_spec("1*sq+2*sq+4*tri")
+    with pytest.raises(FormSpecSyntaxError):
+        spec_of("mixed-parity-two-squares")
 
 
 # ── counting ───────────────────────────────────────────────────────────────

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import mixedsums
 import mixedsums.survey as sv
 from mixedsums.forms import MixedForm
+from mixedsums.oracle import spec_of
 from mixedsums.survey import (
     CATALOG,
     SOURCES,
@@ -41,6 +43,61 @@ def test_catalog_group_sizes():
     assert len(CATALOG) == 35
 
 
+# every entry in catalog order as (entry_id, domain, status); the names are
+# the definitions, so this pins every scanned claim
+GOLDEN_CATALOG = [
+    ("theorem2:x2+3y2+t", "all", "constructive"),
+    ("theorem2:x2+3t+t", "all", "constructive"),
+    ("theorem2:x2+6t+t", "all", "constructive"),
+    ("theorem2:3x2+2t+t", "all", "constructive"),
+    ("theorem2:4x2+2t+t", "all", "constructive"),
+    ("theorem1_i:4*sq+1*tri+1*tri", "all", "established"),
+    ("theorem1_i:mixed-parity-two-squares", "positive", "established"),
+    ("theorem1_ii:1*sq+1*sq+1*tri", "all", "empirical"),
+    ("theorem1_ii:1*sq+1*sq+2*tri", "all", "empirical"),
+    ("theorem1_ii:1*sq+2*sq+1*tri", "all", "empirical"),
+    ("theorem1_ii:1*sq+2*sq+2*tri", "all", "empirical"),
+    ("theorem1_ii:1*sq+2*sq+4*tri", "all", "empirical"),
+    ("theorem1_ii:1*sq+3*sq+1*tri", "all", "empirical"),
+    ("theorem1_ii:1*sq+4*sq+1*tri", "all", "empirical"),
+    ("theorem1_ii:1*sq+4*sq+2*tri", "all", "empirical"),
+    ("theorem1_ii:1*sq+8*sq+1*tri", "all", "empirical"),
+    ("theorem1_ii:2*sq+2*sq+1*tri", "all", "empirical"),
+    ("theorem1_iii:1*sq+1*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:1*sq+2*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:1*sq+2*tri+2*tri", "all", "empirical"),
+    ("theorem1_iii:1*sq+3*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:1*sq+4*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:1*sq+4*tri+2*tri", "all", "empirical"),
+    ("theorem1_iii:1*sq+5*tri+2*tri", "all", "empirical"),
+    ("theorem1_iii:1*sq+6*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:1*sq+8*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:2*sq+1*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:2*sq+2*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:2*sq+4*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:3*sq+2*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:4*sq+1*tri+1*tri", "all", "empirical"),
+    ("theorem1_iii:4*sq+2*tri+1*tri", "all", "empirical"),
+    ("panaitopol:1*sq+1*sq+2*sq", "positive_odd", "established"),
+    ("panaitopol:1*sq+2*sq+3*sq", "positive_odd", "established"),
+    ("panaitopol:1*sq+2*sq+4*sq", "positive_odd", "established"),
+]
+
+
+def test_catalog_golden():
+    assert [(e.entry_id, e.domain, e.status) for e in CATALOG] == GOLDEN_CATALOG
+
+
+def test_entry_is_defined_by_its_name():
+    assert [f.name for f in fields(CatalogEntry)] == ["source", "name", "domain", "status"]
+    for e in CATALOG:
+        assert (e.form is not None) == (e.source == "theorem2")
+        assert (e.predicate is not None) == (e.name == "mixed-parity-two-squares")
+        assert e.spec == (None if e.predicate else spec_of(e.name))
+        if e.form is None and e.predicate is None:
+            assert str(spec_of(e.name)) == e.name  # a canonical term list
+
+
 def test_entry_ids_unique():
     ids = [e.entry_id for e in CATALOG]
     assert len(set(ids)) == len(ids)
@@ -64,11 +121,11 @@ def test_unknown_source_rejected():
 
 def test_entry_validation():
     with pytest.raises(ValueError):
-        CatalogEntry("theorem2", "x", "all", "constructive")  # no payload
+        CatalogEntry("theorem2", "x", "all", "constructive")  # names nothing
     with pytest.raises(ValueError):
-        CatalogEntry("theorem2", "x", "weekends", "constructive", form=MixedForm.X2_3Y2_T)
+        CatalogEntry("theorem2", "x2+3y2+t", "weekends", "constructive")
     with pytest.raises(ValueError):
-        CatalogEntry("theorem1_i", "x", "all", "established", predicate="no-such-check")
+        CatalogEntry("theorem1_i", "no-such-check", "all", "established")
 
 
 # ── range scans ────────────────────────────────────────────────────────────
@@ -148,16 +205,18 @@ def _strip_wall(reports):
     ]
 
 
-def test_worker_count_does_not_change_reports():
-    base = verify_theorem2_range(0, 700, mode="oracle", jobs=1, chunk_size=64)
+def test_worker_count_does_not_change_reports(monkeypatch):
+    monkeypatch.setattr(sv, "DEFAULT_CHUNK", 64)
+    base = verify_theorem2_range(0, 700, mode="oracle", jobs=1)
     for jobs in (2, 5):
-        again = verify_theorem2_range(0, 700, mode="oracle", jobs=jobs, chunk_size=64)
+        again = verify_theorem2_range(0, 700, mode="oracle", jobs=jobs)
         assert _strip_wall(again) == _strip_wall(base)
 
 
-def test_control_partitioning_keeps_order():
-    a = negative_control(0, 300, jobs=1, chunk_size=32)
-    b = negative_control(0, 300, jobs=3, chunk_size=32)
+def test_control_partitioning_keeps_order(monkeypatch):
+    monkeypatch.setattr(sv, "DEFAULT_CHUNK", 32)
+    a = negative_control(0, 300, jobs=1)
+    b = negative_control(0, 300, jobs=3)
     assert a.counterexamples == b.counterexamples
     assert list(a.counterexamples) == sorted(a.counterexamples)
 
