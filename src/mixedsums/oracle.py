@@ -11,7 +11,9 @@ table (to translate them into term lists) and the width checks.
 Range windows (`representable_window`) enumerate the same term values, but
 over a whole range at once: the represented numbers up to hi are the sumset
 of the three slots' value sets, built as Python-integer bitsets with one
-shift-OR per value of the second and third slot.
+shift-OR per value of the second and third slot.  `rebracketed_window`
+builds the same sumset associated the other way, so a scan can check one
+window against the other.
 
 Counting convention: every coordinate ranges over all of Z within its
 evaluation bound.  Sign pairs x, -x of a square index and the index pair
@@ -203,9 +205,28 @@ def exists(spec: FormSpec, n: int) -> bool:
     return False
 
 
-def count(spec: FormSpec, n: int) -> int:
-    """Number of integer triples evaluating to n (full signed domain)."""
+# count and witnesses walk O(n) slot pairs per call, witnesses up to four
+# times as many as count (both signs of every index), so they refuse n above
+# this cap.  On a 2-core x86 VM (Python 3.11) the slowest term list,
+# 1*tri+1*tri+1*tri, took 1.4 s to count and 6.5 s to list every witness
+# at n = 10^6, and 6.6 s and 23 s at n = 4*10^6.
+MAX_ENUMERATED_N = 10**6
+
+
+def _check_enumerable(n: int) -> None:
     _check_natural(n, "n")
+    if n > MAX_ENUMERATED_N:
+        raise ValueError(
+            f"n={n} is above {MAX_ENUMERATED_N}, the largest n count and witnesses enumerate"
+        )
+
+
+def count(spec: FormSpec, n: int) -> int:
+    """Number of integer triples evaluating to n (full signed domain).
+
+    n may not exceed MAX_ENUMERATED_N.
+    """
+    _check_enumerable(n)
     a, b, c = sorted(spec.terms, key=lambda t: -t.coeff)
     total = 0
     for va, ma in _term_values(a, n):
@@ -235,19 +256,41 @@ def _shifted_union(bits: int, shifts: Iterable[int], lo: int, hi: int) -> int:
     return out & ((1 << (hi - lo + 1)) - 1)
 
 
+def _by_density(spec: FormSpec) -> list[Term]:
+    """The slots, the one with the most values first (c*t_i has as many
+    values as 2c*x^2)."""
+    return sorted(spec.terms, key=lambda t: t.coeff * (2 if t.kind == "sq" else 1))
+
+
+def _sumset_window(first: Term, second: Term, third: Term, lo: int, hi: int) -> int:
+    """(first + second) + third over [lo, hi], as a bitset offset by lo."""
+    pair = _shifted_union(_bits(_values(first, hi), hi), _values(second, hi), 0, hi)
+    return _shifted_union(pair, _values(third, hi), lo, hi)
+
+
 def representable_window(spec: FormSpec, lo: int, hi: int) -> int:
     """Bitset over [lo, hi]: bit k is set iff lo + k is represented by spec.
 
     The sumset of the three slots' value sets up to hi, so it costs
     O(sqrt(hi)) shift-ORs of (hi + 1)-bit integers whatever the width.
+    The densest slot a becomes the shifted bitset and the sparser b and c
+    supply the shifts: (a + b) + c.
     """
     check_range(lo, hi)
-    # the slot with the most values (c*t_i has as many as 2c*x^2) becomes the
-    # shifted bitset and the sparser two supply the shifts; any order gives
-    # the same sumset
-    a, b, c = sorted(spec.terms, key=lambda t: t.coeff * (2 if t.kind == "sq" else 1))
-    ab = _shifted_union(_bits(_values(a, hi), hi), _values(b, hi), 0, hi)
-    return _shifted_union(ab, _values(c, hi), lo, hi)
+    a, b, c = _by_density(spec)
+    return _sumset_window(a, b, c, lo, hi)
+
+
+def rebracketed_window(spec: FormSpec, lo: int, hi: int) -> int:
+    """`representable_window` bracketed the other way, a + (b + c).
+
+    The two sparser slots are summed first and the sum is shifted by every
+    value of the densest slot, so no intermediate bitset is shared with
+    `representable_window`; the two are equal whenever both are right.
+    """
+    check_range(lo, hi)
+    a, b, c = _by_density(spec)
+    return _sumset_window(b, c, a, lo, hi)
 
 
 def constrained_two_squares_triangular_window(lo: int, hi: int) -> int:
@@ -281,8 +324,9 @@ def witnesses(spec: FormSpec, n: int, limit: int) -> WitnessList:
     Slots are enumerated in the form's declared term order (never
     coefficient-sorted), first two by ascending index, the third solved
     exactly; that makes the output order lexicographic without a sort.
+    n may not exceed MAX_ENUMERATED_N.
     """
-    _check_natural(n, "n")
+    _check_enumerable(n)
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     t0, t1, t2 = spec.terms

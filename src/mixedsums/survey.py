@@ -19,16 +19,20 @@ reports byte-for-byte identical whatever the worker count.
 
 An oracle chunk whose width is not too small against its upper bound (see
 SIEVE_RATIO) is read from one sumset bitset of the whole window instead of
-one brute-force call per n.  The pointwise oracle stays the judge: it
-re-checks the first in-domain n of the chunk and every n the bitset calls a
-counterexample, and any disagreement raises AssertionError.
+one brute-force call per n.  The pointwise oracle stays the judge of the
+chunk's first in-domain n and of its first counterexample.  From the second
+counterexample on, a term-list entry's window is instead checked once, bit
+for bit, against the same sumset bracketed the other way
+(`rebracketed_window`), so each later counterexample costs O(1) and not an
+O(n) `exists` miss; the predicate has no second window, and each of its
+counterexamples is re-judged pointwise.  Any disagreement raises
+AssertionError.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -40,6 +44,7 @@ from .oracle import (
     constrained_two_squares_triangular_window,
     exists,
     exists_constrained_two_squares_triangular,
+    rebracketed_window,
     representable_window,
     spec_of,
 )
@@ -184,32 +189,43 @@ def _in_domain(domain: str, n: int) -> bool:
     return n >= 1 and n % 2 == 1
 
 
-def _judges(entry: CatalogEntry, mode: str) -> tuple[_Judge, _Window | None]:
-    """The entry's pointwise judge and, for an oracle scan, its window.
+def _judges(
+    entry: CatalogEntry, mode: str
+) -> tuple[_Judge, _Window | None, _Window | None]:
+    """The entry's pointwise judge, its window for an oracle scan and, for a
+    term list, the rebracketed window that confirms the first.
 
-    exists, represent, verify and representable_window are looked up in the
-    module globals when called, so tracing and tests can rebind them.
+    exists, represent, verify, representable_window and rebracketed_window
+    are looked up in the module globals when called, so tracing and tests
+    can rebind them.
     """
     if mode == "constructive":
         form = entry.form
-        return (lambda n: verify(represent(form, n))), None
+        return (lambda n: verify(represent(form, n))), None, None
     if entry.predicate is not None:
-        return _PREDICATES[entry.predicate]
+        return (*_PREDICATES[entry.predicate], None)
     spec = entry.spec
-    return (lambda n: exists(spec, n)), (lambda lo, hi: representable_window(spec, lo, hi))
+    return (
+        (lambda n: exists(spec, n)),
+        (lambda lo, hi: representable_window(spec, lo, hi)),
+        (lambda lo, hi: rebracketed_window(spec, lo, hi)),
+    )
 
 
 def _scan_chunk(unit: tuple[CatalogEntry, str, int, int]) -> tuple[int, list[int], float]:
     entry, mode, lo, hi = unit
     t0 = time.perf_counter()
-    check, window = _judges(entry, mode)
+    check, window, rebracketed = _judges(entry, mode)
+    width = hi - lo + 1
     # a wide enough oracle chunk is read from its window as "0"/"1" marks
     # indexed by n - lo; a narrow one, or a constructive one, is pointwise
     marks = None
-    if window is not None and hi <= SIEVE_RATIO * (hi - lo + 1):
-        marks = format(window(lo, hi), "b").zfill(hi - lo + 1)[::-1]
+    if window is not None and hi <= SIEVE_RATIO * width:
+        sieve = window(lo, hi)
+        marks = format(sieve, "b").zfill(width)[::-1]
     domain = entry.domain
-    judged = False
+    judged = False  # the first in-domain n has been re-judged
+    confirmed = False  # the whole sieve equals the rebracketed window
     good = 0
     bad: list[int] = []
     for n in range(lo, hi + 1):
@@ -219,13 +235,26 @@ def _scan_chunk(unit: tuple[CatalogEntry, str, int, int]) -> tuple[int, list[int
             ok = check(n)
         else:
             ok = marks[n - lo] == "1"
-            # the first n and every counterexample are re-judged pointwise
-            if not (ok and judged):
+            if confirmed or (ok and judged):
+                pass
+            elif ok or not bad or rebracketed is None:
+                # the first n and the first counterexample (every one, for
+                # the predicate) are re-judged pointwise
                 judged = True
                 if check(n) != ok:
                     raise AssertionError(
                         f"{entry.entry_id}: the sieve says n={n} is"
                         f" {'' if ok else 'not '}represented, the pointwise oracle disagrees"
+                    )
+            else:
+                # a second counterexample: confirm every bit of the window
+                # once, rather than pay an O(n) exists miss for each
+                confirmed = True
+                diff = rebracketed(lo, hi) ^ sieve
+                if diff:
+                    raise AssertionError(
+                        f"{entry.entry_id}: the sieve and the rebracketed sumset"
+                        f" disagree at n={lo + (diff & -diff).bit_length() - 1}"
                     )
         if ok:
             good += 1
@@ -261,6 +290,10 @@ def _run_scans(
     units = [(entry, mode, clo, chi) for entry, mode in tasks for clo, chi in chunks]
     workers = _pool_size(jobs, len(units))
     if workers > 1:
+        # imported here: it loads multiprocessing, which a one-process scan
+        # and every other command never need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_scan_chunk, units))
     else:

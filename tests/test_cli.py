@@ -6,7 +6,7 @@ import pytest
 
 from mixedsums.cli import main
 from mixedsums.forms import Certificate, MixedForm
-from mixedsums.oracle import spec_of
+from mixedsums.oracle import MAX_ENUMERATED_N, spec_of
 from mixedsums.survey import CATALOG
 
 
@@ -201,6 +201,13 @@ def test_count_bad_term_offset(capsys):
     code, _, err = run(capsys, "count", "1*sq+zz*sq+1*tri", "5")
     assert code == 2
     assert "offset 5" in err
+
+
+@pytest.mark.parametrize("command", ["count", "witnesses"])
+def test_enumeration_cap_exits_2(capsys, command):
+    code, out, err = run(capsys, command, "1*sq+1*sq+1*sq", str(MAX_ENUMERATED_N + 1))
+    assert (code, out) == (2, "")
+    assert f"above {MAX_ENUMERATED_N}" in err
 
 
 def test_witnesses_json_golden(capsys):

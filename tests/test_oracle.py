@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from mixedsums.forms import MixedForm, represent
 from mixedsums.oracle import (
+    MAX_ENUMERATED_N,
     FormSpec,
     FormSpecSyntaxError,
     Term,
@@ -15,6 +16,7 @@ from mixedsums.oracle import (
     exists_constrained_two_squares_triangular,
     form_spec_of,
     parse_form_spec,
+    rebracketed_window,
     representable_window,
     spec_of,
     witnesses,
@@ -130,6 +132,13 @@ def test_count_rejects_negative():
         count(THREE_SQUARES, -3)
 
 
+def test_count_and_witnesses_refuse_n_above_the_cap():
+    with pytest.raises(ValueError, match=str(MAX_ENUMERATED_N)):
+        count(THREE_SQUARES, MAX_ENUMERATED_N + 1)
+    with pytest.raises(ValueError, match=str(MAX_ENUMERATED_N)):
+        witnesses(THREE_SQUARES, MAX_ENUMERATED_N + 1, 1)
+
+
 # ── witness enumeration ────────────────────────────────────────────────────
 
 
@@ -201,8 +210,10 @@ def window_flags(window: int, lo: int, hi: int) -> list[bool]:
 
 @pytest.mark.parametrize("spec", SCANNED_SPECS, ids=str)
 def test_window_matches_exists_on_prefix(spec):
-    flags = window_flags(representable_window(spec, 0, 2000), 0, 2000)
+    window = representable_window(spec, 0, 2000)
+    flags = window_flags(window, 0, 2000)
     assert flags == [exists(spec, n) for n in range(2001)]
+    assert rebracketed_window(spec, 0, 2000) == window
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,8 +224,10 @@ def test_window_matches_exists_on_prefix(spec):
 )
 def test_window_matches_exists_anywhere(spec, lo, width):
     hi = lo + width - 1
-    flags = window_flags(representable_window(spec, lo, hi), lo, hi)
+    window = representable_window(spec, lo, hi)
+    flags = window_flags(window, lo, hi)
     assert flags == [exists(spec, n) for n in range(lo, hi + 1)]
+    assert rebracketed_window(spec, lo, hi) == window
 
 
 def test_predicate_window_matches_pointwise():
@@ -243,9 +256,9 @@ def test_predicate_window_matches_pointwise_anywhere(lo, width):
     ids=str,
 )
 def test_window_and_exists_match_bruteforce(spec):
-    flags = window_flags(representable_window(spec, 0, 200), 0, 200)
     truth = [naive_count(spec_terms(spec), n) > 0 for n in range(201)]
-    assert flags == truth
+    assert window_flags(representable_window(spec, 0, 200), 0, 200) == truth
+    assert window_flags(rebracketed_window(spec, 0, 200), 0, 200) == truth
     assert [exists(spec, n) for n in range(201)] == truth
 
 
@@ -257,9 +270,10 @@ def test_predicate_window_and_exists_match_bruteforce():
 
 
 def test_window_rejects_bad_bounds():
-    with pytest.raises(ValueError):
-        representable_window(THREE_SQUARES, 5, 4)
-    with pytest.raises(ValueError):
-        representable_window(THREE_SQUARES, -1, 4)
+    for window in (representable_window, rebracketed_window):
+        with pytest.raises(ValueError):
+            window(THREE_SQUARES, 5, 4)
+        with pytest.raises(ValueError):
+            window(THREE_SQUARES, -1, 4)
     with pytest.raises(ValueError):
         constrained_two_squares_triangular_window(3, 2)

@@ -299,19 +299,72 @@ print(json.dumps({"optimize": sys.flags.optimize, "debug": __debug__, "outcome":
 """
 
 
-def test_flipped_sieve_bit_is_caught_under_python_O():
+def _run_under_python_O(script):
     src = str(Path(mixedsums.__file__).parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-O", "-c", _FLIPPED_BIT],
+        [sys.executable, "-O", "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_flipped_sieve_bit_is_caught_under_python_O():
+    out = _run_under_python_O(_FLIPPED_BIT)
     assert out["optimize"] == 1 and out["debug"] is False
     assert out["outcome"].startswith("theorem2:x2+6t+t: ")
     assert "n=250" in out["outcome"]
+
+
+# n=8 is represented, but the flipped bit reads it as the control's second
+# counterexample, after the first one (n=7) was judged pointwise: the
+# rebracketed window must catch it, under python -O too.
+_FLIPPED_BIT_AFTER_MISS = """
+import json, sys
+import mixedsums.survey as sv
+
+real = sv.representable_window
+sv.representable_window = lambda spec, lo, hi: real(spec, lo, hi) ^ 1 << 8
+try:
+    sv.negative_control(0, 300)
+    outcome = "returned"
+except AssertionError as exc:
+    outcome = str(exc)
+print(json.dumps({"optimize": sys.flags.optimize, "debug": __debug__, "outcome": outcome}))
+"""
+
+
+def test_flipped_bit_after_first_miss_is_caught(monkeypatch):
+    _flip_window_bit(monkeypatch, 8)
+    with pytest.raises(AssertionError, match=r"control:1\*sq\+1\*sq\+1\*sq: .*rebracketed.*n=8\b"):
+        negative_control(0, 300)
+
+
+def test_flipped_bit_after_first_miss_is_caught_under_python_O():
+    out = _run_under_python_O(_FLIPPED_BIT_AFTER_MISS)
+    assert out["optimize"] == 1 and out["debug"] is False
+    assert out["outcome"].startswith("control:1*sq+1*sq+1*sq: ")
+    assert out["outcome"].endswith("n=8")
+
+
+def test_later_misses_skip_exists(monkeypatch):
+    calls = []
+    real = sv.exists
+
+    def counted(spec, n):
+        calls.append(n)
+        return real(spec, n)
+
+    monkeypatch.setattr(sv, "exists", counted)
+    r = negative_control(0, 10**5)
+    assert len(r.counterexamples) == 16_664
+    # seven chunks of at most 2^14 values, each judging its first n (a hit)
+    # and its first counterexample pointwise
+    chunks = [n // sv.DEFAULT_CHUNK for n in calls]
+    assert len(calls) == 14
+    assert all(chunks.count(c) == 2 for c in range(7))
 
 
 # ── negative control ───────────────────────────────────────────────────────
