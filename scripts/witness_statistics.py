@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from mixedsums.forms import MixedForm
-from mixedsums.oracle import count, form_spec_of
+from mixedsums.oracle import count, spec_of
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -23,7 +23,7 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
 
     for form in MixedForm:
-        spec = form_spec_of(form)
+        spec = spec_of(form.value)
         counts = [count(spec, n) for n in range(args.hi + 1)]
         lo = min(counts)
         hi = max(counts)

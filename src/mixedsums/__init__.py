@@ -8,7 +8,7 @@ and no exported name shadows a submodule.
 """
 
 from .forms import Certificate, MixedForm, represent, verify
-from .oracle import count, form_spec_of
+from .oracle import count, spec_of
 from .survey import negative_control, verify_catalog, verify_theorem2_range
 
 __version__ = "0.1.0"
@@ -17,9 +17,9 @@ __all__ = [
     "Certificate",
     "MixedForm",
     "count",
-    "form_spec_of",
     "negative_control",
     "represent",
+    "spec_of",
     "verify",
     "verify_catalog",
     "verify_theorem2_range",

@@ -200,10 +200,8 @@ def _joined(ns: Sequence[int]) -> str:
 
 def _cmd_verify_range(args: argparse.Namespace) -> int:
     forms = None
-    if args.forms:
+    if args.forms is not None:  # an empty selection is an error, not "all"
         forms = [_parse_form_name(tok) for tok in args.forms.split(",") if tok]
-        if not forms:
-            raise ValueError("--forms given but no form names parsed")
     reports = verify_theorem2_range(args.lo, args.hi, args.mode, forms, args.jobs)
     return _emit_reports(reports, args.fmt)
 

@@ -92,20 +92,15 @@ def parse_form_spec(text: str) -> FormSpec:
     return FormSpec((terms[0], terms[1], terms[2]))
 
 
-def form_spec_of(form: MixedForm) -> FormSpec:
-    """Term list of a named mixed form, slots in evaluation order."""
-    a, b, c = FORM_TERMS[form]
-    return FormSpec((Term(*a), Term(*b), Term(*c)))
-
-
 def spec_of(name: str) -> FormSpec:
-    """The term list a name stands for: a named form spelling ("x2+6t+t")
-    or a term list ("1*sq+2*sq+4*tri")."""
+    """The term list a name stands for: a named form spelling ("x2+6t+t"),
+    its slots read from FORM_TERMS in evaluation order, or a term list
+    ("1*sq+2*sq+4*tri")."""
     try:
-        form = MixedForm(name)
+        a, b, c = FORM_TERMS[MixedForm(name)]
     except ValueError:
         return parse_form_spec(name)
-    return form_spec_of(form)
+    return FormSpec((Term(*a), Term(*b), Term(*c)))
 
 
 def check_range(lo: int, hi: int) -> None:
@@ -207,9 +202,10 @@ def exists(spec: FormSpec, n: int) -> bool:
 
 # count and witnesses walk O(n) slot pairs per call, witnesses up to four
 # times as many as count (both signs of every index), so they refuse n above
-# this cap.  On a 2-core x86 VM (Python 3.11) the slowest term list,
-# 1*tri+1*tri+1*tri, took 1.4 s to count and 6.5 s to list every witness
-# at n = 10^6, and 6.6 s and 23 s at n = 4*10^6.
+# this cap; so does the negative control, each of whose chunks pays one
+# exists miss, the same walk.  On a 2-core x86 VM (Python 3.11) the slowest
+# term list, 1*tri+1*tri+1*tri, took 1.4 s to count and 6.5 s to list every
+# witness at n = 10^6, and 6.6 s and 23 s at n = 4*10^6.
 MAX_ENUMERATED_N = 10**6
 
 

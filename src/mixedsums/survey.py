@@ -17,16 +17,17 @@ Scans run in fixed-size chunks (default 2^14 values) so they can be spread
 over a process pool; chunk results are merged in index order, which keeps
 reports byte-for-byte identical whatever the worker count.
 
-An oracle chunk whose width is not too small against its upper bound (see
-SIEVE_RATIO) is read from one sumset bitset of the whole window instead of
-one brute-force call per n.  The pointwise oracle stays the judge of the
-chunk's first in-domain n and of its first counterexample.  From the second
-counterexample on, a term-list entry's window is instead checked once, bit
-for bit, against the same sumset bracketed the other way
-(`rebracketed_window`), so each later counterexample costs O(1) and not an
-O(n) `exists` miss; the predicate has no second window, and each of its
-counterexamples is re-judged pointwise.  Any disagreement raises
-AssertionError.
+A chunk reads every in-domain verdict first, then judges them.  Constructive
+chunks, and oracle chunks too narrow for their upper bound (see
+SIEVE_RATIO), read each verdict pointwise.  Wider oracle chunks read them
+off one sumset bitset of the whole window, and the pointwise oracle then
+judges the first n and the first counterexample.  With two or more
+counterexamples, a term-list window is compared once, bit for bit, with the
+same sumset bracketed the other way (`rebracketed_window`), so a later
+counterexample costs O(1), not an O(n) `exists` miss; the predicate has no
+second window and judges each of its counterexamples pointwise.  Any
+disagreement raises AssertionError.  As every chunk still pays one `exists`
+miss, the negative control refuses hi above `oracle.MAX_ENUMERATED_N`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from typing import Callable, Sequence
 from .arith import is_three_square_feasible
 from .forms import MixedForm, represent, verify
 from .oracle import (
+    MAX_ENUMERATED_N,
     FormSpec,
     check_range,
     constrained_two_squares_triangular_window,
@@ -181,12 +183,13 @@ def catalog_entries(source_filter: str | None = None) -> tuple[CatalogEntry, ...
 # ── scan engine ────────────────────────────────────────────────────────────
 
 
-def _in_domain(domain: str, n: int) -> bool:
+def _domain_values(domain: str, lo: int, hi: int) -> range:
+    """The n in [lo, hi] that an entry over this domain is scanned at."""
     if domain == "all":
-        return True
+        return range(lo, hi + 1)
     if domain == "positive":
-        return n >= 1
-    return n >= 1 and n % 2 == 1
+        return range(max(lo, 1), hi + 1)
+    return range(max(lo, 1) | 1, hi + 1, 2)
 
 
 def _judges(
@@ -216,51 +219,36 @@ def _scan_chunk(unit: tuple[CatalogEntry, str, int, int]) -> tuple[int, list[int
     entry, mode, lo, hi = unit
     t0 = time.perf_counter()
     check, window, rebracketed = _judges(entry, mode)
+    ns = _domain_values(entry.domain, lo, hi)
     width = hi - lo + 1
-    # a wide enough oracle chunk is read from its window as "0"/"1" marks
-    # indexed by n - lo; a narrow one, or a constructive one, is pointwise
-    marks = None
-    if window is not None and hi <= SIEVE_RATIO * width:
+    if window is None or hi > SIEVE_RATIO * width:
+        # a constructive chunk, or an oracle one too narrow to sieve
+        bad = [n for n in ns if not check(n)]
+    else:
+        # read every verdict off the window's "0"/"1" marks, indexed by n - lo
         sieve = window(lo, hi)
         marks = format(sieve, "b").zfill(width)[::-1]
-    domain = entry.domain
-    judged = False  # the first in-domain n has been re-judged
-    confirmed = False  # the whole sieve equals the rebracketed window
-    good = 0
-    bad: list[int] = []
-    for n in range(lo, hi + 1):
-        if not _in_domain(domain, n):
-            continue
-        if marks is None:
-            ok = check(n)
-        else:
+        bad = [n for n in ns if marks[n - lo] == "0"]
+        # then judge, each n once and in order: the first n, the first
+        # counterexample and, for the predicate, every later one
+        misses = bad if rebracketed is None else bad[:1]
+        for n in sorted({*ns[:1], *misses}):
             ok = marks[n - lo] == "1"
-            if confirmed or (ok and judged):
-                pass
-            elif ok or not bad or rebracketed is None:
-                # the first n and the first counterexample (every one, for
-                # the predicate) are re-judged pointwise
-                judged = True
-                if check(n) != ok:
-                    raise AssertionError(
-                        f"{entry.entry_id}: the sieve says n={n} is"
-                        f" {'' if ok else 'not '}represented, the pointwise oracle disagrees"
-                    )
-            else:
-                # a second counterexample: confirm every bit of the window
-                # once, rather than pay an O(n) exists miss for each
-                confirmed = True
-                diff = rebracketed(lo, hi) ^ sieve
-                if diff:
-                    raise AssertionError(
-                        f"{entry.entry_id}: the sieve and the rebracketed sumset"
-                        f" disagree at n={lo + (diff & -diff).bit_length() - 1}"
-                    )
-        if ok:
-            good += 1
-        else:
-            bad.append(n)
-    return good, bad, (time.perf_counter() - t0) * 1000.0
+            if check(n) != ok:
+                raise AssertionError(
+                    f"{entry.entry_id}: the sieve says n={n} is"
+                    f" {'' if ok else 'not '}represented, the pointwise oracle disagrees"
+                )
+        # a term list's later counterexamples: confirm every bit of the window
+        # once, rather than pay an O(n) exists miss for each
+        if rebracketed is not None and len(bad) > 1:
+            diff = rebracketed(lo, hi) ^ sieve
+            if diff:
+                raise AssertionError(
+                    f"{entry.entry_id}: the sieve and the rebracketed sumset"
+                    f" disagree at n={lo + (diff & -diff).bit_length() - 1}"
+                )
+    return len(ns) - len(bad), bad, (time.perf_counter() - t0) * 1000.0
 
 
 def _chunk_bounds(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
@@ -314,13 +302,16 @@ def verify_theorem2_range(
     lo: int,
     hi: int,
     mode: str = "constructive",
-    forms: Sequence[MixedForm] | None = None,
+    forms: Sequence[MixedForm | str] | None = None,
     jobs: int = 1,
 ) -> list[RangeReport]:
-    """Scan the five named forms over [lo, hi]; one report per form."""
+    """Scan the five named forms (forms, given as members or spellings,
+    selects some) over [lo, hi]; one report per form, in catalog order."""
     if mode not in ("constructive", "oracle"):
         raise ValueError(f"unknown mode {mode!r}")
-    wanted = tuple(MixedForm) if forms is None else tuple(forms)
+    wanted = tuple(MixedForm) if forms is None else {MixedForm(f) for f in forms}
+    if not wanted:
+        raise ValueError("no forms selected")
     entries = [e for e in catalog_entries("theorem2") if e.form in wanted]
     return _run_scans([(e, mode) for e in entries], lo, hi, jobs)
 
@@ -346,7 +337,13 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     The form x^2 + y^2 + z^2 misses exactly the numbers 4^k(8l+7); finding
     precisely those as counterexamples shows the oracle cannot pass
     vacuously.  A disagreement with the independent classifier raises.
+    hi may not exceed MAX_ENUMERATED_N: each chunk judges its first
+    counterexample with an O(n) exists miss.
     """
+    if hi > MAX_ENUMERATED_N:
+        raise ValueError(
+            f"hi={hi} is above {MAX_ENUMERATED_N}, the largest n the negative control scans"
+        )
     report = _run_scans([(_CONTROL, "oracle")], lo, hi, jobs)[0]
     expected = tuple(m for m in range(lo, hi + 1) if not is_three_square_feasible(m))
     if report.counterexamples != expected:

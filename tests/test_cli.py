@@ -124,6 +124,13 @@ def test_verify_range_bad_form_list(capsys):
     assert "unknown form" in err
 
 
+@pytest.mark.parametrize("forms", ["", ","])
+def test_verify_range_empty_form_list(capsys, forms):
+    code, out, err = run(capsys, "verify-range", "0", "3", "--forms", forms)
+    assert (code, out) == (2, "")
+    assert "no forms selected" in err
+
+
 def test_jobs_do_not_change_bytes(capsys):
     outs = []
     for jobs in ("1", "4"):
@@ -262,6 +269,12 @@ def test_negative_control_counterexamples_joined_in_csv(capsys):
     code, out, _ = run(capsys, "negative-control", "0", "16", "--csv")
     assert code == 1
     assert "control:1*sq+1*sq+1*sq,0,16,15,7;15,oracle,0" in out
+
+
+def test_negative_control_above_the_cap_exits_2(capsys):
+    code, out, err = run(capsys, "negative-control", "0", str(MAX_ENUMERATED_N + 1))
+    assert (code, out) == (2, "")
+    assert f"above {MAX_ENUMERATED_N}" in err
 
 
 def test_exit_codes_never_conflated(capsys):

@@ -14,7 +14,6 @@ from mixedsums.oracle import (
     count,
     exists,
     exists_constrained_two_squares_triangular,
-    form_spec_of,
     parse_form_spec,
     rebracketed_window,
     representable_window,
@@ -76,14 +75,14 @@ def test_parse_error_names_offset():
 
 
 def test_named_form_specs():
-    assert str(form_spec_of(MixedForm.X2_3Y2_T)) == "1*sq+3*sq+1*tri"
-    assert str(form_spec_of(MixedForm.FOUR_X2_2T_T)) == "4*sq+2*tri+1*tri"
-    assert str(form_spec_of(MixedForm.THREE_X2_2T_T)) == "3*sq+2*tri+1*tri"
+    assert str(spec_of("x2+3y2+t")) == "1*sq+3*sq+1*tri"
+    assert str(spec_of("x2+3t+t")) == "1*sq+3*tri+1*tri"
+    assert str(spec_of("x2+6t+t")) == "1*sq+6*tri+1*tri"
+    assert str(spec_of("3x2+2t+t")) == "3*sq+2*tri+1*tri"
+    assert str(spec_of("4x2+2t+t")) == "4*sq+2*tri+1*tri"
 
 
 def test_spec_of_reads_form_names_and_term_lists():
-    for form in MixedForm:
-        assert spec_of(form.value) == form_spec_of(form)
     assert spec_of("1*sq+2*sq+4*tri") == parse_form_spec("1*sq+2*sq+4*tri")
     with pytest.raises(FormSpecSyntaxError):
         spec_of("mixed-parity-two-squares")
@@ -93,17 +92,17 @@ def test_spec_of_reads_form_names_and_term_lists():
 
 
 def test_count_frozen_values():
-    assert count(form_spec_of(MixedForm.X2_3Y2_T), 0) == 2
-    assert count(form_spec_of(MixedForm.X2_3Y2_T), 5) == 12
-    assert count(form_spec_of(MixedForm.FOUR_X2_2T_T), 1) == 4
+    assert count(spec_of("x2+3y2+t"), 0) == 2
+    assert count(spec_of("x2+3y2+t"), 5) == 12
+    assert count(spec_of("4x2+2t+t"), 1) == 4
 
 
 @pytest.mark.parametrize(
     "spec",
     [
-        form_spec_of(MixedForm.X2_3Y2_T),
-        form_spec_of(MixedForm.X2_3T_T),
-        form_spec_of(MixedForm.FOUR_X2_2T_T),
+        spec_of("x2+3y2+t"),
+        spec_of("x2+3t+t"),
+        spec_of("4x2+2t+t"),
         THREE_SQUARES,
         parse_form_spec("1*sq+2*sq+4*tri"),
         parse_form_spec("1*sq+5*tri+2*tri"),
@@ -117,13 +116,13 @@ def test_count_matches_naive_enumeration(spec):
 @settings(max_examples=150)
 @given(st.integers(min_value=0, max_value=3000))
 def test_exists_iff_positive_count(n):
-    for spec in (form_spec_of(MixedForm.X2_6T_T), THREE_SQUARES):
+    for spec in (spec_of("x2+6t+t"), THREE_SQUARES):
         assert exists(spec, n) == (count(spec, n) > 0)
 
 
 def test_exists_examples():
-    assert exists(form_spec_of(MixedForm.X2_3Y2_T), 2)
-    assert exists(form_spec_of(MixedForm.THREE_X2_2T_T), 4)
+    assert exists(spec_of("x2+3y2+t"), 2)
+    assert exists(spec_of("3x2+2t+t"), 4)
     assert not exists(THREE_SQUARES, 7)
 
 
@@ -143,22 +142,22 @@ def test_count_and_witnesses_refuse_n_above_the_cap():
 
 
 def test_witnesses_frozen_lists():
-    wl = witnesses(form_spec_of(MixedForm.X2_3Y2_T), 0, 10)
+    wl = witnesses(spec_of("x2+3y2+t"), 0, 10)
     assert wl.items == ((0, 0, -1), (0, 0, 0))
     assert not wl.truncated
 
-    wl = witnesses(form_spec_of(MixedForm.X2_3T_T), 1, 1)
+    wl = witnesses(spec_of("x2+3t+t"), 1, 1)
     assert wl.items == ((-1, -1, -1),)
     assert wl.truncated
 
-    wl = witnesses(form_spec_of(MixedForm.X2_6T_T), 3, 100)
+    wl = witnesses(spec_of("x2+6t+t"), 3, 100)
     assert wl.items == ((0, -1, -3), (0, -1, 2), (0, 0, -3), (0, 0, 2))
     assert not wl.truncated
 
 
 @pytest.mark.parametrize("n", [0, 1, 5, 12, 33, 40])
 def test_witnesses_match_naive_enumeration(n):
-    for spec in (form_spec_of(MixedForm.X2_3Y2_T), parse_form_spec("1*sq+2*sq+1*tri")):
+    for spec in (spec_of("x2+3y2+t"), parse_form_spec("1*sq+2*sq+1*tri")):
         expect = all_witnesses(spec_terms(spec), n)
         wl = witnesses(spec, n, len(expect) + 5 if expect else 5)
         assert list(wl.items) == expect
@@ -167,7 +166,7 @@ def test_witnesses_match_naive_enumeration(n):
 
 
 def test_witnesses_truncation_and_limit():
-    spec = form_spec_of(MixedForm.X2_3Y2_T)
+    spec = spec_of("x2+3y2+t")
     full = witnesses(spec, 5, 100)
     assert len(full.items) == 12
     cut = witnesses(spec, 5, 3)
@@ -181,7 +180,7 @@ def test_constructive_certificates_appear_in_enumeration():
     for form in MixedForm:
         for n in (0, 1, 17, 64, 203):
             cert = represent(form, n)
-            spec = form_spec_of(form)
+            spec = spec_of(form.value)
             wl = witnesses(spec, n, count(spec, n))
             assert (cert.x, cert.y, cert.z) in wl.items
 
@@ -247,8 +246,8 @@ def test_predicate_window_matches_pointwise_anywhere(lo, width):
 @pytest.mark.parametrize(
     "spec",
     [
-        form_spec_of(MixedForm.X2_3Y2_T),
-        form_spec_of(MixedForm.FOUR_X2_2T_T),
+        spec_of("x2+3y2+t"),
+        spec_of("4x2+2t+t"),
         parse_form_spec("1*sq+2*sq+4*sq"),
         parse_form_spec("1*sq+5*tri+2*tri"),
         THREE_SQUARES,

@@ -12,7 +12,7 @@ import pytest
 import mixedsums
 import mixedsums.survey as sv
 from mixedsums.forms import MixedForm
-from mixedsums.oracle import spec_of
+from mixedsums.oracle import MAX_ENUMERATED_N, spec_of
 from mixedsums.survey import (
     CATALOG,
     SOURCES,
@@ -160,6 +160,16 @@ def test_theorem2_form_subset():
     assert reports[0].entry.name == "x2+6t+t"
 
 
+def test_theorem2_forms_by_spelling_or_member():
+    (r,) = verify_theorem2_range(0, 10, forms=["x2+6t+t"])
+    assert (r.entry.name, r.verified_count) == ("x2+6t+t", 11)
+    (r,) = verify_theorem2_range(0, 10, forms=[MixedForm.X2_3T_T, "x2+3t+t"])
+    assert (r.entry.name, r.verified_count) == ("x2+3t+t", 11)
+    for forms in ([], ["x2+6t+t+t"]):
+        with pytest.raises(ValueError):
+            verify_theorem2_range(0, 10, forms=forms)
+
+
 def test_scan_accounting_invariant():
     for r in verify_catalog(None, 0, 160):
         candidates = sum(1 for n in range(0, 161) if _in(r.entry, n))
@@ -229,6 +239,21 @@ def test_pool_size_is_bounded(monkeypatch):
     assert _pool_size(1, 100) == 1
     monkeypatch.setattr(sv.os, "cpu_count", lambda: None)
     assert _pool_size(10**9, 10**6) == 1
+
+
+def _scan_all(lo, hi):
+    return _strip_wall([*verify_catalog(None, lo, hi), negative_control(lo, hi)])
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 1200), (601, 1600)])
+def test_pointwise_scan_equals_sieved_scan(monkeypatch, lo, hi):
+    # one wide sieved chunk (the defaults) against 64-value chunks that a
+    # zero ratio makes pointwise; an odd lo moves every domain's chunk edges
+    sieved = _scan_all(lo, hi)
+    monkeypatch.setattr(sv, "DEFAULT_CHUNK", 64)
+    monkeypatch.setattr(sv, "SIEVE_RATIO", 0)
+    monkeypatch.setattr(sv, "representable_window", _no_sieve)
+    assert _scan_all(lo, hi) == sieved
 
 
 # ── sieve path and pointwise judge ─────────────────────────────────────────
@@ -376,6 +401,12 @@ def test_negative_control_exact_sets():
     assert r.counterexamples == tuple(gauss_legendre_excluded(100))
     assert negative_control(0, 6).counterexamples == ()
     assert negative_control(7, 7).counterexamples == (7,)
+
+
+def test_negative_control_is_bounded():
+    assert negative_control(MAX_ENUMERATED_N, MAX_ENUMERATED_N).verified_count == 1
+    with pytest.raises(ValueError, match=f"hi={MAX_ENUMERATED_N + 1} is above {MAX_ENUMERATED_N}"):
+        negative_control(0, MAX_ENUMERATED_N + 1)
 
 
 def test_negative_control_accounting():
