@@ -46,7 +46,14 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help="at most N worker processes; a scan too small to pay for a pool"
+        " runs in this process",
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -13,9 +13,13 @@ other entry is oracle-only.  Each entry carries a status tag:
 for complete statements that are merely re-checked here, and "empirical"
 for coefficient lists whose scan is evidence, not proof.
 
-Scans run in fixed-size chunks (default 2^14 values) so they can be spread
-over a process pool; chunk results are merged in index order, which keeps
-reports byte-for-byte identical whatever the worker count.
+Scans run in fixed-size chunks (default 2^14 values).  Before any chunk
+runs, each one's cost is estimated from its mode, its path (sieved or
+pointwise, see `_sieves`), its width and its bounds.  A process pool of at
+most `jobs` workers is started only when the estimated work, spread over
+the workers, saves more than the pool costs to start and feed; otherwise
+every chunk runs in this process.  Chunk results are merged in index order,
+which keeps reports byte-for-byte identical whatever the worker count.
 
 A chunk reads every in-domain verdict first, then judges them.  Constructive
 chunks, and oracle chunks too narrow for their upper bound (see
@@ -32,6 +36,7 @@ miss, the negative control refuses hi above `oracle.MAX_ENUMERATED_N`.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -65,6 +70,31 @@ DEFAULT_CHUNK = 1 << 14
 # cheap or better, and it keeps one-value windows above 4096 pointwise.
 SIEVE_RATIO = 4096
 
+# The estimated cost of a chunk, in seconds; see _chunk_cost.  Measured on a
+# 2-core x86 VM, Python 3.11.  A constructive value n costs 15 us plus
+# 0.6 us * n^(1/4): 15, 19, 25, 32, 59 and 135 us at n = 0, 1e4, 1e5, 9e5,
+# 1e7 and 1e9 (the five forms, 256 values each).  An exists hit near n costs
+# 0.9 to 1.6 us * sqrt(n) averaged over the catalog's in-domain values (121 us
+# at 1.6e4, 1.2 ms at 1e6, 16 ms at 1e8), and a miss, which enumerates its
+# whole search, 0.37 to 0.55 us * n on the control (7.8 ms at 1.6e4, 0.51 s
+# at 1e6).  A window up to hi costs 1.1 us * sqrt(hi) + 0.09 ns * hi^1.5,
+# within a third of the sieve figures above from 1.65e4 to 1e7, and reading
+# a window's marks 0.09 us per value.
+CONSTRUCTIVE_S = 15e-6
+CONSTRUCTIVE_ROOT4_S = 0.6e-6
+EXISTS_HIT_S = 1.2e-6
+EXISTS_MISS_S = 0.5e-6
+WINDOW_ROOT_S = 1.1e-6
+WINDOW_POW_S = 0.09e-9
+MARK_S = 0.09e-6
+
+# A pool of two workers took 13 ms to start and stop in a warm process and
+# about 40 ms in a fresh one, which first imports multiprocessing (30 ms), so
+# 20 ms lies between; each unit it carries added 0.22 ms (same VM, median of
+# 7, 2 to 1000 one-value units).
+POOL_START_S = 0.02
+POOL_UNIT_S = 0.22e-3
+
 SOURCES = ("theorem2", "theorem1_i", "theorem1_ii", "theorem1_iii", "panaitopol")
 
 DOMAINS = ("all", "positive", "positive_odd")
@@ -72,11 +102,12 @@ DOMAINS = ("all", "positive", "positive_odd")
 _Judge = Callable[[int], bool]  # n -> is n represented?
 _Window = Callable[[int, int], int]  # (lo, hi) -> bitset, bit k set iff lo + k represented
 
-# oracle predicates a catalog entry may name instead of a term list
+# oracle predicates a catalog entry may name instead of a term list, each
+# judge and window looked up in the module globals when called
 _PREDICATES: dict[str, tuple[_Judge, _Window]] = {
     "mixed-parity-two-squares": (
-        exists_constrained_two_squares_triangular,
-        constrained_two_squares_triangular_window,
+        lambda n: exists_constrained_two_squares_triangular(n),
+        lambda lo, hi: constrained_two_squares_triangular_window(lo, hi),
     ),
 }
 
@@ -198,9 +229,9 @@ def _judges(
     """The entry's pointwise judge, its window for an oracle scan and, for a
     term list, the rebracketed window that confirms the first.
 
-    exists, represent, verify, representable_window and rebracketed_window
-    are looked up in the module globals when called, so tracing and tests
-    can rebind them.
+    exists, represent, verify, the windows and the predicates' judges are
+    looked up in the module globals when called, so tracing and tests can
+    rebind them.
     """
     if mode == "constructive":
         form = entry.form
@@ -215,13 +246,40 @@ def _judges(
     )
 
 
-def _scan_chunk(unit: tuple[CatalogEntry, str, int, int]) -> tuple[int, list[int], float]:
+_Unit = tuple[CatalogEntry, str, int, int]  # (entry, mode, lo, hi): one chunk of one scan
+
+
+def _sieves(lo: int, hi: int) -> bool:
+    """Whether an oracle chunk [lo, hi] is read off a window (see SIEVE_RATIO)."""
+    return hi <= SIEVE_RATIO * (hi - lo + 1)
+
+
+def _chunk_cost(unit: _Unit) -> float:
+    """Estimated seconds for _scan_chunk(unit), from the constants above."""
+    entry, mode, lo, hi = unit
+    width = hi - lo + 1
+    if mode == "constructive":
+        return width * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT4_S * hi**0.25)
+    hit = EXISTS_HIT_S * math.sqrt(hi)
+    # the control misses one n in six, and one in any eight in a row
+    control = entry.status == "control"
+    if not _sieves(lo, hi):
+        return width * (hit + (EXISTS_MISS_S * hi / 6 if control else 0.0))
+    window = WINDOW_ROOT_S * math.sqrt(hi) + WINDOW_POW_S * hi**1.5
+    if control:
+        # a miss within 8 values of lo, judged pointwise, and the
+        # rebracketed window that confirms the later ones
+        window = 2 * window + EXISTS_MISS_S * lo
+    return hit + window + MARK_S * width
+
+
+def _scan_chunk(unit: _Unit) -> tuple[int, list[int], float]:
     entry, mode, lo, hi = unit
     t0 = time.perf_counter()
     check, window, rebracketed = _judges(entry, mode)
     ns = _domain_values(entry.domain, lo, hi)
     width = hi - lo + 1
-    if window is None or hi > SIEVE_RATIO * width:
+    if window is None or not _sieves(lo, hi):
         # a constructive chunk, or an oracle one too narrow to sieve
         bad = [n for n in ns if not check(n)]
     else:
@@ -260,9 +318,32 @@ def _chunk_bounds(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool_size(jobs: int, units: int) -> int:
     """Worker processes for a scan: never more than the units or the CPUs."""
-    return min(jobs, units, os.cpu_count() or 1)
+    return min(jobs, units, _usable_cpus())
+
+
+def _plan_workers(jobs: int, units: Sequence[_Unit]) -> int:
+    """The workers to start for these units; 1 runs them all in this process.
+
+    A pool is estimated to take POOL_START_S, POOL_UNIT_S per unit and the
+    longer of its workers' even share of the work and the dearest unit.  It
+    is started only when that beats the work's estimate here.
+    """
+    workers = _pool_size(jobs, len(units))
+    if workers < 2:
+        return 1
+    costs = [_chunk_cost(u) for u in units]
+    here = sum(costs)
+    pooled = POOL_START_S + POOL_UNIT_S * len(units) + max(here / workers, max(costs))
+    return workers if pooled < here else 1
 
 
 def _run_scans(
@@ -276,7 +357,7 @@ def _run_scans(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     chunks = _chunk_bounds(lo, hi, DEFAULT_CHUNK)
     units = [(entry, mode, clo, chi) for entry, mode in tasks for clo, chi in chunks]
-    workers = _pool_size(jobs, len(units))
+    workers = _plan_workers(jobs, units)
     if workers > 1:
         # imported here: it loads multiprocessing, which a one-process scan
         # and every other command never need

@@ -35,3 +35,20 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_small_survey_loads_no_process_pool():
+    # 35 one-value chunks cost far less than a pool, so --jobs 2 starts none
+    # and never imports multiprocessing (-X importtime lists every import)
+    src = str(Path(mixedsums.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "mixedsums.cli",
+         "survey", "16384", "16384", "--jobs", "2", "--json"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)) == 35
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "mixedsums.survey" in imported
+    assert not {m for m in imported if m.split(".")[0] == "multiprocessing"}
+    assert "concurrent.futures.process" not in imported

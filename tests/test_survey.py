@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -215,28 +216,103 @@ def _strip_wall(reports):
     ]
 
 
+def _spy_on_pools(monkeypatch):
+    """The worker count of every process pool a scan starts, in order."""
+    started = []
+
+    class Spy(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    return started
+
+
+def _free_pool(monkeypatch):
+    # a pool that costs nothing to start or feed always pays for itself
+    monkeypatch.setattr(sv, "POOL_START_S", 0.0)
+    monkeypatch.setattr(sv, "POOL_UNIT_S", 0.0)
+    monkeypatch.setattr(sv, "_usable_cpus", lambda: 8)
+    return _spy_on_pools(monkeypatch)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was started")
+
+
 def test_worker_count_does_not_change_reports(monkeypatch):
     monkeypatch.setattr(sv, "DEFAULT_CHUNK", 64)
+    started = _free_pool(monkeypatch)
     base = verify_theorem2_range(0, 700, mode="oracle", jobs=1)
     for jobs in (2, 5):
         again = verify_theorem2_range(0, 700, mode="oracle", jobs=jobs)
         assert _strip_wall(again) == _strip_wall(base)
+    assert started == [2, 5]
 
 
 def test_control_partitioning_keeps_order(monkeypatch):
     monkeypatch.setattr(sv, "DEFAULT_CHUNK", 32)
+    started = _free_pool(monkeypatch)
     a = negative_control(0, 300, jobs=1)
     b = negative_control(0, 300, jobs=3)
     assert a.counterexamples == b.counterexamples
     assert list(a.counterexamples) == sorted(a.counterexamples)
+    assert started == [3]
+
+
+def test_small_survey_runs_in_this_process(monkeypatch):
+    # 35 sieved 128-value chunks take about 18 ms, less than a pool costs
+    base = verify_catalog(None, 16384, 16511, jobs=1)
+    monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    assert _strip_wall(verify_catalog(None, 16384, 16511, jobs=2)) == _strip_wall(base)
+
+
+def test_wide_constructive_scan_starts_a_pool(monkeypatch):
+    # five 1024-value constructive chunks take about 75 ms
+    base = verify_theorem2_range(0, 1023, mode="constructive", jobs=1)
+    monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
+    started = _spy_on_pools(monkeypatch)
+    pooled = verify_theorem2_range(0, 1023, mode="constructive", jobs=2)
+    assert started == [2]
+    assert _strip_wall(pooled) == _strip_wall(base)
+
+
+@pytest.mark.parametrize(
+    "entries, hi", [(CATALOG, 40_000), ((sv._CONTROL,), 100_000)], ids=["survey", "control"]
+)
+def test_wide_oracle_scans_plan_a_pool(monkeypatch, entries, hi):
+    # the scans CI compares at --jobs 1 and 2: about 0.2 s each, the
+    # control's mostly in one pointwise miss per chunk
+    monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
+    chunks = sv._chunk_bounds(0, hi, sv.DEFAULT_CHUNK)
+    units = [(e, "oracle", lo, chi) for e in entries for lo, chi in chunks]
+    assert sv._plan_workers(2, units) == 2
+
+
+def test_cost_estimate_follows_the_sieve_predicate(monkeypatch):
+    # one-value chunks above SIEVE_RATIO are judged pointwise, so their cost
+    # is one exists hit; the same chunk sieved costs a window and its marks
+    entry = catalog_entries("theorem1_ii")[0]
+    unit = (entry, "oracle", 16384, 16384)
+    assert not sv._sieves(16384, 16384)
+    assert sv._chunk_cost(unit) == pytest.approx(sv.EXISTS_HIT_S * 128)
+    monkeypatch.setattr(sv, "SIEVE_RATIO", 10**9)
+    assert sv._sieves(16384, 16384)
+    assert sv._chunk_cost(unit) > sv.EXISTS_HIT_S * 128
 
 
 def test_pool_size_is_bounded(monkeypatch):
-    monkeypatch.setattr(sv.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(sv.os, "cpu_count", lambda: 64)
     assert _pool_size(10**9, 10**6) == 8
     assert _pool_size(10**9, 3) == 3
     assert _pool_size(5, 10**6) == 5
     assert _pool_size(1, 100) == 1
+    # without an affinity set, every CPU the machine has counts
+    monkeypatch.delattr(sv.os, "sched_getaffinity")
+    assert _pool_size(10**9, 10**6) == 64
     monkeypatch.setattr(sv.os, "cpu_count", lambda: None)
     assert _pool_size(10**9, 10**6) == 1
 
@@ -283,6 +359,21 @@ def test_constructive_scan_never_sieves(monkeypatch):
     monkeypatch.setattr(sv, "representable_window", _no_sieve)
     (r,) = verify_theorem2_range(0, 500, mode="constructive", forms=[MixedForm.X2_6T_T])
     assert r.verified_count == 501
+
+
+def test_predicate_is_looked_up_when_called(monkeypatch):
+    name = "mixed-parity-two-squares"
+    monkeypatch.setattr(
+        sv, "constrained_two_squares_triangular_window", lambda lo, hi: _no_sieve(name, lo, hi)
+    )
+    with pytest.raises(SieveCalled):
+        verify_catalog("theorem1_i", 0, 100)
+    # a one-value chunk at 10^6 is judged pointwise
+    monkeypatch.setattr(
+        sv, "exists_constrained_two_squares_triangular", lambda n: _no_sieve(name, n, n)
+    )
+    with pytest.raises(SieveCalled):
+        verify_catalog("theorem1_i", 10**6, 10**6)
 
 
 def _flip_window_bit(monkeypatch, k):
