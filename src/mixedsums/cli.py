@@ -30,13 +30,6 @@ from .survey import (
 )
 
 
-def _parse_form_name(token: str) -> MixedForm:
-    try:
-        return MixedForm(token)
-    except ValueError:
-        raise ValueError(f"unknown form {token!r}, expected one of {', '.join(FORM_NAMES)}")
-
-
 def _add_format_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--json", action="store_const", const="json", dest="fmt")
@@ -149,7 +142,7 @@ def _witness_line(cert: Certificate) -> str:
 
 
 def _cmd_represent(args: argparse.Namespace) -> int:
-    form = _parse_form_name(args.form)
+    form = MixedForm(args.form)
     cert = represent(form, args.n)
     if args.verify and not verify(cert):
         print(f"error: certificate for {form.value} n={args.n} failed re-verification",
@@ -208,7 +201,7 @@ def _joined(ns: Sequence[int]) -> str:
 def _cmd_verify_range(args: argparse.Namespace) -> int:
     forms = None
     if args.forms is not None:  # an empty selection is an error, not "all"
-        forms = [_parse_form_name(tok) for tok in args.forms.split(",") if tok]
+        forms = [tok for tok in args.forms.split(",") if tok]
     reports = verify_theorem2_range(args.lo, args.hi, args.mode, forms, args.jobs)
     return _emit_reports(reports, args.fmt)
 

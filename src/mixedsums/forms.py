@@ -39,6 +39,12 @@ class MixedForm(enum.Enum):
     THREE_X2_2T_T = "3x2+2t+t"  # 3x^2 + 2 t_y + t_z
     FOUR_X2_2T_T = "4x2+2t+t"  # 4x^2 + 2 t_y + t_z
 
+    @classmethod
+    def _missing_(cls, value: object) -> MixedForm:
+        # the one message for every unknown name: CLI tokens, spellings
+        # passed to the library and certificate JSON alike
+        raise ValueError(f"unknown form {value!r}, expected one of {', '.join(FORM_NAMES)}")
+
 
 FORM_NAMES = tuple(f.value for f in MixedForm)
 

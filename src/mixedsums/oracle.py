@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import _check_natural, isqrt
@@ -202,10 +203,11 @@ def exists(spec: FormSpec, n: int) -> bool:
 
 # count and witnesses walk O(n) slot pairs per call, witnesses up to four
 # times as many as count (both signs of every index), so they refuse n above
-# this cap; so does the negative control, each of whose chunks pays one
-# exists miss, the same walk.  On a 2-core x86 VM (Python 3.11) the slowest
-# term list, 1*tri+1*tri+1*tri, took 1.4 s to count and 6.5 s to list every
-# witness at n = 10^6, and 6.6 s and 23 s at n = 4*10^6.
+# this cap.  So does the negative control: its first counterexample is one
+# exists miss near lo, the same walk, and a window too narrow to sieve pays
+# one such miss per counterexample.  On a 2-core x86 VM (Python 3.11) the
+# slowest term list, 1*tri+1*tri+1*tri, took 1.4 s to count and 6.5 s to
+# list every witness at n = 10^6, and 6.6 s and 23 s at n = 4*10^6.
 MAX_ENUMERATED_N = 10**6
 
 
@@ -326,20 +328,15 @@ def witnesses(spec: FormSpec, n: int, limit: int) -> WitnessList:
     if limit < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
     t0, t1, t2 = spec.terms
-    found: list[tuple[int, int, int]] = []
-    truncated = False
-    for i0, v0 in _slot_indices(t0, n):
-        for i1, v1 in _slot_indices(t1, n - v0):
-            for i2 in _third_indices(t2, n - v0 - v1):
-                if len(found) == limit:
-                    truncated = True
-                    break
-                found.append((i0, i1, i2))
-            if truncated:
-                break
-        if truncated:
-            break
-    return WitnessList(spec, n, limit, tuple(found), truncated)
+    triples = (
+        (i0, i1, i2)
+        for i0, v0 in _slot_indices(t0, n)
+        for i1, v1 in _slot_indices(t1, n - v0)
+        for i2 in _third_indices(t2, n - v0 - v1)
+    )
+    # one witness past the cap tells whether the list was truncated
+    found = tuple(islice(triples, limit + 1))
+    return WitnessList(spec, n, limit, found[:limit], len(found) > limit)
 
 
 def exists_constrained_two_squares_triangular(n: int) -> bool:

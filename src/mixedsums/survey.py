@@ -13,25 +13,29 @@ other entry is oracle-only.  Each entry carries a status tag:
 for complete statements that are merely re-checked here, and "empirical"
 for coefficient lists whose scan is evidence, not proof.
 
-Scans run in fixed-size chunks (default 2^14 values).  Before any chunk
-runs, each one's cost is estimated from its mode, its path (sieved or
-pointwise, see `_sieves`), its width and its bounds.  A process pool of at
-most `jobs` workers is started only when the estimated work, spread over
-the workers, saves more than the pool costs to start and feed; otherwise
-every chunk runs in this process.  Chunk results are merged in index order,
-which keeps reports byte-for-byte identical whatever the worker count.
+An oracle scan whose whole range is wide enough for its upper bound (see
+`_sieves`) runs as one unit per entry; any other scan runs in fixed-size
+chunks (default 2^14 values), one unit each.  Before any unit runs, each
+one's cost is estimated from its mode, its path (sieved or pointwise), its
+width and its bounds.  A process pool of at most `jobs` workers is started
+only when the estimated work, spread over the workers, saves more than the
+pool costs to start and feed; otherwise every unit runs in this process.
+Unit results are merged in index order, which keeps reports byte-for-byte
+identical whatever the worker count.
 
-A chunk reads every in-domain verdict first, then judges them.  Constructive
-chunks, and oracle chunks too narrow for their upper bound (see
-SIEVE_RATIO), read each verdict pointwise.  Wider oracle chunks read them
-off one sumset bitset of the whole window, and the pointwise oracle then
-judges the first n and the first counterexample.  With two or more
+A unit reads every in-domain verdict first, then judges them.  Constructive
+units, and oracle units too narrow for their upper bound, read each verdict
+pointwise.  A sieved unit reads them off one sumset bitset of its whole
+range, and the pointwise oracle then judges the first in-domain n of every
+2^14-value block and the unit's first counterexample.  With two or more
 counterexamples, a term-list window is compared once, bit for bit, with the
 same sumset bracketed the other way (`rebracketed_window`), so a later
 counterexample costs O(1), not an O(n) `exists` miss; the predicate has no
 second window and judges each of its counterexamples pointwise.  Any
-disagreement raises AssertionError.  As every chunk still pays one `exists`
-miss, the negative control refuses hi above `oracle.MAX_ENUMERATED_N`.
+disagreement raises AssertionError.  The negative control refuses hi above
+`oracle.MAX_ENUMERATED_N`: its first counterexample is an O(lo) `exists`
+miss, and a window too narrow to sieve pays one such miss per
+counterexample.
 """
 
 from __future__ import annotations
@@ -58,9 +62,10 @@ from .oracle import (
 
 DEFAULT_CHUNK = 1 << 14
 
-# An oracle chunk [lo, hi] is sieved iff hi <= SIEVE_RATIO * (hi - lo + 1),
-# so a sieve's integers stay below 2 * SIEVE_RATIO * chunk_size bits (16 MiB
-# at the default chunk).  A sieve costs about the same whatever the width; a
+# An oracle range [lo, hi] is sieved iff hi <= SIEVE_RATIO * min(hi - lo + 1,
+# DEFAULT_CHUNK), so a unit holds at most SIEVE_RATIO * DEFAULT_CHUNK = 2^26
+# marks and a sieve's integers stay below twice as many bits (16 MiB at the
+# default chunk).  A sieve costs about the same whatever the width; a
 # pointwise scan costs the width times one exists call.  Averaged over the
 # catalog entries (2-core x86 VM, Python 3.11), one exists call near hi and
 # one sieve up to hi cost 149 us / 0.32 ms at hi = 1.65e4, 416 us / 2.4 ms
@@ -70,20 +75,17 @@ DEFAULT_CHUNK = 1 << 14
 # cheap or better, and it keeps one-value windows above 4096 pointwise.
 SIEVE_RATIO = 4096
 
-# The estimated cost of a chunk, in seconds; see _chunk_cost.  Measured on a
+# The estimated cost of a unit, in seconds; see _unit_cost.  Measured on a
 # 2-core x86 VM, Python 3.11.  A constructive value n costs 15 us plus
 # 0.6 us * n^(1/4): 15, 19, 25, 32, 59 and 135 us at n = 0, 1e4, 1e5, 9e5,
 # 1e7 and 1e9 (the five forms, 256 values each).  An exists hit near n costs
 # 0.9 to 1.6 us * sqrt(n) averaged over the catalog's in-domain values (121 us
-# at 1.6e4, 1.2 ms at 1e6, 16 ms at 1e8), and a miss, which enumerates its
-# whole search, 0.37 to 0.55 us * n on the control (7.8 ms at 1.6e4, 0.51 s
-# at 1e6).  A window up to hi costs 1.1 us * sqrt(hi) + 0.09 ns * hi^1.5,
-# within a third of the sieve figures above from 1.65e4 to 1e7, and reading
-# a window's marks 0.09 us per value.
+# at 1.6e4, 1.2 ms at 1e6, 16 ms at 1e8).  A window up to hi costs
+# 1.1 us * sqrt(hi) + 0.09 ns * hi^1.5, within a third of the sieve figures
+# above from 1.65e4 to 1e7, and reading a window's marks 0.09 us per value.
 CONSTRUCTIVE_S = 15e-6
 CONSTRUCTIVE_ROOT4_S = 0.6e-6
 EXISTS_HIT_S = 1.2e-6
-EXISTS_MISS_S = 0.5e-6
 WINDOW_ROOT_S = 1.1e-6
 WINDOW_POW_S = 0.09e-9
 MARK_S = 0.09e-6
@@ -246,51 +248,48 @@ def _judges(
     )
 
 
-_Unit = tuple[CatalogEntry, str, int, int]  # (entry, mode, lo, hi): one chunk of one scan
+_Unit = tuple[CatalogEntry, str, int, int]  # (entry, mode, lo, hi): a whole scan or one chunk
 
 
 def _sieves(lo: int, hi: int) -> bool:
-    """Whether an oracle chunk [lo, hi] is read off a window (see SIEVE_RATIO)."""
-    return hi <= SIEVE_RATIO * (hi - lo + 1)
+    """Whether an oracle range [lo, hi] is read off a window (see SIEVE_RATIO)."""
+    return hi <= SIEVE_RATIO * min(hi - lo + 1, DEFAULT_CHUNK)
 
 
-def _chunk_cost(unit: _Unit) -> float:
-    """Estimated seconds for _scan_chunk(unit), from the constants above."""
-    entry, mode, lo, hi = unit
+def _unit_cost(unit: _Unit) -> float:
+    """Estimated seconds for _scan_unit(unit), from the constants above."""
+    _, mode, lo, hi = unit
     width = hi - lo + 1
     if mode == "constructive":
         return width * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT4_S * hi**0.25)
     hit = EXISTS_HIT_S * math.sqrt(hi)
-    # the control misses one n in six, and one in any eight in a row
-    control = entry.status == "control"
     if not _sieves(lo, hi):
-        return width * (hit + (EXISTS_MISS_S * hi / 6 if control else 0.0))
+        return width * hit
+    blocks = -(-width // DEFAULT_CHUNK)
     window = WINDOW_ROOT_S * math.sqrt(hi) + WINDOW_POW_S * hi**1.5
-    if control:
-        # a miss within 8 values of lo, judged pointwise, and the
-        # rebracketed window that confirms the later ones
-        window = 2 * window + EXISTS_MISS_S * lo
-    return hit + window + MARK_S * width
+    return blocks * hit + window + MARK_S * width
 
 
-def _scan_chunk(unit: _Unit) -> tuple[int, list[int], float]:
+def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
     entry, mode, lo, hi = unit
     t0 = time.perf_counter()
     check, window, rebracketed = _judges(entry, mode)
     ns = _domain_values(entry.domain, lo, hi)
     width = hi - lo + 1
     if window is None or not _sieves(lo, hi):
-        # a constructive chunk, or an oracle one too narrow to sieve
+        # a constructive unit, or an oracle one too narrow to sieve
         bad = [n for n in ns if not check(n)]
     else:
         # read every verdict off the window's "0"/"1" marks, indexed by n - lo
         sieve = window(lo, hi)
         marks = format(sieve, "b").zfill(width)[::-1]
         bad = [n for n in ns if marks[n - lo] == "0"]
-        # then judge, each n once and in order: the first n, the first
-        # counterexample and, for the predicate, every later one
+        # then judge, each n once and in order: the first n of every block,
+        # the first counterexample and, for the predicate, every later one
+        blocks = range(lo, hi + 1, DEFAULT_CHUNK)
+        firsts = (m for b in blocks for m in _domain_values(entry.domain, b, hi)[:1])
         misses = bad if rebracketed is None else bad[:1]
-        for n in sorted({*ns[:1], *misses}):
+        for n in sorted({*firsts, *misses}):
             ok = marks[n - lo] == "1"
             if check(n) != ok:
                 raise AssertionError(
@@ -307,15 +306,6 @@ def _scan_chunk(unit: _Unit) -> tuple[int, list[int], float]:
                     f" disagree at n={lo + (diff & -diff).bit_length() - 1}"
                 )
     return len(ns) - len(bad), bad, (time.perf_counter() - t0) * 1000.0
-
-
-def _chunk_bounds(lo: int, hi: int, size: int) -> list[tuple[int, int]]:
-    out = []
-    c = lo
-    while c <= hi:
-        out.append((c, min(c + size - 1, hi)))
-        c += size
-    return out
 
 
 def _usable_cpus() -> int:
@@ -340,23 +330,22 @@ def _plan_workers(jobs: int, units: Sequence[_Unit]) -> int:
     workers = _pool_size(jobs, len(units))
     if workers < 2:
         return 1
-    costs = [_chunk_cost(u) for u in units]
+    costs = [_unit_cost(u) for u in units]
     here = sum(costs)
     pooled = POOL_START_S + POOL_UNIT_S * len(units) + max(here / workers, max(costs))
     return workers if pooled < here else 1
 
 
 def _run_scans(
-    tasks: Sequence[tuple[CatalogEntry, str]],
-    lo: int,
-    hi: int,
-    jobs: int,
+    entries: Sequence[CatalogEntry], mode: str, lo: int, hi: int, jobs: int
 ) -> list[RangeReport]:
     check_range(lo, hi)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    chunks = _chunk_bounds(lo, hi, DEFAULT_CHUNK)
-    units = [(entry, mode, clo, chi) for entry, mode in tasks for clo, chi in chunks]
+    # a sieved oracle scan is one unit per entry, any other one unit per chunk
+    size = hi - lo + 1 if mode == "oracle" and _sieves(lo, hi) else DEFAULT_CHUNK
+    chunks = [(c, min(c + size - 1, hi)) for c in range(lo, hi + 1, size)]
+    units = [(entry, mode, clo, chi) for entry in entries for clo, chi in chunks]
     workers = _plan_workers(jobs, units)
     if workers > 1:
         # imported here: it loads multiprocessing, which a one-process scan
@@ -364,12 +353,12 @@ def _run_scans(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, units))
+            results = list(pool.map(_scan_unit, units))
     else:
-        results = [_scan_chunk(u) for u in units]
+        results = [_scan_unit(u) for u in units]
     reports = []
     per = len(chunks)
-    for i, (entry, mode) in enumerate(tasks):
+    for i, entry in enumerate(entries):
         rows = results[i * per : (i + 1) * per]
         bad = tuple(n for row in rows for n in row[1])
         wall = int(round(sum(row[2] for row in rows)))
@@ -394,7 +383,7 @@ def verify_theorem2_range(
     if not wanted:
         raise ValueError("no forms selected")
     entries = [e for e in catalog_entries("theorem2") if e.form in wanted]
-    return _run_scans([(e, mode) for e in entries], lo, hi, jobs)
+    return _run_scans(entries, mode, lo, hi, jobs)
 
 
 def verify_catalog(
@@ -404,8 +393,7 @@ def verify_catalog(
     jobs: int = 1,
 ) -> list[RangeReport]:
     """Oracle-scan every matching catalog entry over [lo, hi]."""
-    entries = catalog_entries(source_filter)
-    return _run_scans([(e, "oracle") for e in entries], lo, hi, jobs)
+    return _run_scans(catalog_entries(source_filter), "oracle", lo, hi, jobs)
 
 
 class ControlMismatchError(RuntimeError):
@@ -418,14 +406,16 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     The form x^2 + y^2 + z^2 misses exactly the numbers 4^k(8l+7); finding
     precisely those as counterexamples shows the oracle cannot pass
     vacuously.  A disagreement with the independent classifier raises.
-    hi may not exceed MAX_ENUMERATED_N: each chunk judges its first
-    counterexample with an O(n) exists miss.
+    The scan is one unit under the cap (a range too narrow to sieve spans
+    fewer than 245 values).  Its first counterexample is an O(lo) exists
+    miss, and so is every counterexample of a range too narrow to sieve,
+    so hi may not exceed MAX_ENUMERATED_N.
     """
     if hi > MAX_ENUMERATED_N:
         raise ValueError(
             f"hi={hi} is above {MAX_ENUMERATED_N}, the largest n the negative control scans"
         )
-    report = _run_scans([(_CONTROL, "oracle")], lo, hi, jobs)[0]
+    report = _run_scans([_CONTROL], "oracle", lo, hi, jobs)[0]
     expected = tuple(m for m in range(lo, hi + 1) if not is_three_square_feasible(m))
     if report.counterexamples != expected:
         raise ControlMismatchError(

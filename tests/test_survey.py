@@ -171,6 +171,13 @@ def test_theorem2_forms_by_spelling_or_member():
             verify_theorem2_range(0, 10, forms=forms)
 
 
+def test_unknown_form_names_the_valid_ones():
+    valid = ", ".join(f.value for f in MixedForm)
+    with pytest.raises(ValueError) as exc:
+        verify_theorem2_range(0, 1, forms=["bogus"])
+    assert str(exc.value) == f"unknown form 'bogus', expected one of {valid}"
+
+
 def test_scan_accounting_invariant():
     for r in verify_catalog(None, 0, 160):
         candidates = sum(1 for n in range(0, 161) if _in(r.entry, n))
@@ -242,17 +249,22 @@ def _no_pool(*args, **kwargs):
 
 
 def test_worker_count_does_not_change_reports(monkeypatch):
+    # the oracle scan is one sieved unit per form; the constructive one is
+    # split into 64-value chunks, so a pool merges a partitioned range
     monkeypatch.setattr(sv, "DEFAULT_CHUNK", 64)
     started = _free_pool(monkeypatch)
-    base = verify_theorem2_range(0, 700, mode="oracle", jobs=1)
-    for jobs in (2, 5):
-        again = verify_theorem2_range(0, 700, mode="oracle", jobs=jobs)
-        assert _strip_wall(again) == _strip_wall(base)
-    assert started == [2, 5]
+    for mode in ("oracle", "constructive"):
+        base = verify_theorem2_range(0, 700, mode=mode, jobs=1)
+        for jobs in (2, 5):
+            again = verify_theorem2_range(0, 700, mode=mode, jobs=jobs)
+            assert _strip_wall(again) == _strip_wall(base)
+    assert started == [2, 5, 2, 5]
 
 
 def test_control_partitioning_keeps_order(monkeypatch):
+    # a zero ratio makes the control pointwise, so it runs in 32-value chunks
     monkeypatch.setattr(sv, "DEFAULT_CHUNK", 32)
+    monkeypatch.setattr(sv, "SIEVE_RATIO", 0)
     started = _free_pool(monkeypatch)
     a = negative_control(0, 300, jobs=1)
     b = negative_control(0, 300, jobs=3)
@@ -280,15 +292,18 @@ def test_wide_constructive_scan_starts_a_pool(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "entries, hi", [(CATALOG, 40_000), ((sv._CONTROL,), 100_000)], ids=["survey", "control"]
+    "entries, hi, workers",
+    [(CATALOG, 40_000, 2), ((sv._CONTROL,), 100_000, 1)],
+    ids=["survey", "control"],
 )
-def test_wide_oracle_scans_plan_a_pool(monkeypatch, entries, hi):
-    # the scans CI compares at --jobs 1 and 2: about 0.2 s each, the
-    # control's mostly in one pointwise miss per chunk
+def test_wide_oracle_scans_plan_a_pool(monkeypatch, entries, hi, workers):
+    # two scans CI compares at --jobs 1 and 2; each sieves, so it is one unit
+    # per entry: 35 units of about 5 ms pay for a pool, the control's one
+    # unit runs in this process
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
-    chunks = sv._chunk_bounds(0, hi, sv.DEFAULT_CHUNK)
-    units = [(e, "oracle", lo, chi) for e in entries for lo, chi in chunks]
-    assert sv._plan_workers(2, units) == 2
+    assert sv._sieves(0, hi)
+    units = [(e, "oracle", 0, hi) for e in entries]
+    assert sv._plan_workers(2, units) == workers
 
 
 def test_cost_estimate_follows_the_sieve_predicate(monkeypatch):
@@ -297,10 +312,16 @@ def test_cost_estimate_follows_the_sieve_predicate(monkeypatch):
     entry = catalog_entries("theorem1_ii")[0]
     unit = (entry, "oracle", 16384, 16384)
     assert not sv._sieves(16384, 16384)
-    assert sv._chunk_cost(unit) == pytest.approx(sv.EXISTS_HIT_S * 128)
+    assert sv._unit_cost(unit) == pytest.approx(sv.EXISTS_HIT_S * 128)
     monkeypatch.setattr(sv, "SIEVE_RATIO", 10**9)
     assert sv._sieves(16384, 16384)
-    assert sv._chunk_cost(unit) > sv.EXISTS_HIT_S * 128
+    assert sv._unit_cost(unit) > sv.EXISTS_HIT_S * 128
+
+
+def test_sieved_unit_marks_are_bounded():
+    # a unit's window never holds more than SIEVE_RATIO * DEFAULT_CHUNK marks
+    assert sv._sieves(0, sv.SIEVE_RATIO * sv.DEFAULT_CHUNK)
+    assert not sv._sieves(0, sv.SIEVE_RATIO * sv.DEFAULT_CHUNK + 1)
 
 
 def test_pool_size_is_bounded(monkeypatch):
@@ -465,22 +486,56 @@ def test_flipped_bit_after_first_miss_is_caught_under_python_O():
     assert out["outcome"].endswith("n=8")
 
 
-def test_later_misses_skip_exists(monkeypatch):
+def _count_calls(monkeypatch, name):
+    """The arguments of every call the scan engine makes to sv.<name>."""
     calls = []
-    real = sv.exists
+    real = getattr(sv, name)
 
-    def counted(spec, n):
-        calls.append(n)
-        return real(spec, n)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    monkeypatch.setattr(sv, "exists", counted)
+    monkeypatch.setattr(sv, name, counted)
+    return calls
+
+
+def test_later_misses_skip_exists(monkeypatch):
+    calls = _count_calls(monkeypatch, "exists")
     r = negative_control(0, 10**5)
     assert len(r.counterexamples) == 16_664
-    # seven chunks of at most 2^14 values, each judging its first n (a hit)
-    # and its first counterexample pointwise
-    chunks = [n // sv.DEFAULT_CHUNK for n in calls]
-    assert len(calls) == 14
-    assert all(chunks.count(c) == 2 for c in range(7))
+    # one sieved unit judges the first n of each of its seven 2^14-value
+    # blocks (hits) and its first counterexample pointwise
+    blocks = [k * sv.DEFAULT_CHUNK for k in range(7)]
+    assert sorted(n for _, n in calls) == sorted([*blocks, 7])
+
+
+def test_control_judges_each_block_once(monkeypatch):
+    # 21 blocks, the last one 41 values wide, and the first counterexample
+    calls = _count_calls(monkeypatch, "exists")
+    negative_control(0, 16384 * 20 + 40)
+    assert len(calls) == 22
+
+
+def test_sieved_scan_builds_one_window_per_entry(monkeypatch):
+    calls = _count_calls(monkeypatch, "representable_window")
+    assert len(verify_catalog("theorem1_ii", 0, 3 * 2**14 - 1)) == 10
+    assert len(calls) == 10
+    assert {(lo, hi) for _, lo, hi in calls} == {(0, 3 * 2**14 - 1)}
+
+
+def test_block_first_n_is_judged(monkeypatch):
+    # 114688 = 4^7 * 7 is a counterexample and the first n of the unit's
+    # eighth block; both windows wrongly mark it represented, so they agree
+    # with each other and only the pointwise judge at the block start can
+    # tell
+    bad = 7 * sv.DEFAULT_CHUNK
+    for name in ("representable_window", "rebracketed_window"):
+        real = getattr(sv, name)
+        monkeypatch.setattr(
+            sv, name, lambda spec, lo, hi, real=real: real(spec, lo, hi) | 1 << (bad - lo)
+        )
+    with pytest.raises(AssertionError, match=rf"n={bad} is represented, the pointwise"):
+        negative_control(0, 120_000)
 
 
 # ── negative control ───────────────────────────────────────────────────────
