@@ -1,5 +1,5 @@
-"""Exact integer primitives: triangular numbers, integer square roots, and
-the classical three-square feasibility test.
+"""Exact integer primitives: triangular numbers and the classical
+three-square feasibility test.
 
 Everything is plain integer arithmetic with an explicit width policy: values
 live in the signed 64-bit range, and inputs that would push an intermediate
@@ -38,12 +38,6 @@ def triangular(i: int) -> int:
     if not -_TRI_INDEX_MAX - 1 <= i <= _TRI_INDEX_MAX:
         raise WidthError(f"triangular index {i} overflows 64 bits")
     return i * (i + 1) // 2
-
-
-def isqrt(m: int) -> int:
-    """floor(sqrt(m)); the result r satisfies r*r <= m < (r+1)*(r+1)."""
-    _check_natural(m)
-    return math.isqrt(m)
 
 
 def strip_fours(m: int) -> tuple[int, int]:

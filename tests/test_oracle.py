@@ -126,6 +126,16 @@ def test_exists_examples():
     assert not exists(THREE_SQUARES, 7)
 
 
+def test_exists_near_the_ceiling_solves_the_first_pair():
+    # n = t_(2^31) < 2^63 - 1: the first values of the two square slots,
+    # 0 and 0, leave n to the triangular slot, whose solve reads 8n + 1,
+    # a number past 64 bits; the slots are walked lazily, so the answer
+    # comes without building their ~1.5e9 values
+    n = (1 << 31) * ((1 << 31) + 1) // 2
+    assert n == 2305843010287435776
+    assert exists(spec_of("1*sq+1*sq+1*tri"), n)
+
+
 def test_count_rejects_negative():
     with pytest.raises(ValueError):
         count(THREE_SQUARES, -3)

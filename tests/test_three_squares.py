@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import isqrt
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +28,6 @@ def test_two_squares_values():
 
 @given(st.integers(min_value=0, max_value=20000))
 def test_two_squares_is_maximal_a(m):
-    from math import isqrt
-
     got = two_squares(m)
     best = None
     a = 0
@@ -70,6 +70,17 @@ def test_three_squares_is_lexicographic_maximum():
             continue
         rep = three_squares(m)
         assert (rep.x, rep.y, rep.z) == max(ordered_three_square_reps(m))
+
+
+def test_larger_leading_squares_leave_no_two_square_remainder():
+    # three_squares rejects a leading x whose remainder's maximal pair has
+    # a > x; on this range that rejection never fires: every x above the
+    # accepted one leaves a remainder that is no sum of two squares at all
+    for m in range(10**5 + 1):
+        if not is_three_square_feasible(m):
+            continue
+        for x in range(three_squares(m).x + 1, isqrt(m) + 1):
+            assert two_squares(m - x * x) is None, (m, x)
 
 
 @settings(max_examples=300)
