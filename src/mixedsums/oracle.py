@@ -345,17 +345,11 @@ def exists_constrained_two_squares_triangular(n: int) -> bool:
     Fails exactly at n = 0 among the naturals checked in the catalogs.
     """
     _check_natural(n, "n")
-    i = 0
-    t = 0
-    while t <= n:
+    for t in _values(Term(1, "tri"), n):
         rem = n - t
-        x = 0
-        while 2 * x * x <= rem:
+        for x in range(isqrt(rem // 2) + 1):  # 2x^2 <= rem
             yy = rem - x * x
             y = isqrt(yy)
             if y * y == yy and ((x ^ y) & 1 == 1 or (x == y and x > 0)):
                 return True
-            x += 1
-        i += 1
-        t = i * (i + 1) // 2
     return False

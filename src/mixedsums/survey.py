@@ -13,29 +13,29 @@ other entry is oracle-only.  Each entry carries a status tag:
 for complete statements that are merely re-checked here, and "empirical"
 for coefficient lists whose scan is evidence, not proof.
 
-An oracle scan whose whole range is wide enough for its upper bound (see
-`_sieves`) runs as one unit per entry; any other scan runs in fixed-size
-chunks (default 2^14 values), one unit each.  Before any unit runs, each
-one's cost is estimated from its mode, its path (sieved or pointwise), its
-width and its bounds.  A process pool of at most `jobs` workers is started
-only when the estimated work, spread over the workers, saves more than the
-pool costs to start and feed; otherwise every unit runs in this process.
-Unit results are merged in index order, which keeps reports byte-for-byte
-identical whatever the worker count.
+One price list, measured and commented below, estimates what a unit costs
+from its mode, its width and its bounds.  An oracle range is sieved (see
+`_sieves`) when its upper bound is at most MAX_WINDOW_HI and the estimate
+prices one window below judging each n; a sieved scan runs as one unit per
+entry, any other scan in fixed-size chunks (default 2^14 values), one unit
+each.  A process pool of at most `jobs` workers is started only when the
+estimated work, spread over the workers, saves more than the pool costs to
+start and feed; otherwise every unit runs in this process.  Unit results
+are merged in index order, which keeps reports byte-for-byte identical
+whatever the worker count.
 
 A unit reads every in-domain verdict first, then judges them.  Constructive
-units, and oracle units too narrow for their upper bound, read each verdict
-pointwise.  A sieved unit reads them off one sumset bitset of its whole
-range, and the pointwise oracle then judges the first in-domain n of every
-2^14-value block and the unit's first counterexample.  With two or more
+units, and oracle units left pointwise, read each verdict pointwise.  A
+sieved unit reads them off one sumset bitset of its whole range, and the
+pointwise oracle then judges the first in-domain n of every 2^14-value
+block and the unit's first counterexample.  With two or more
 counterexamples, a term-list window is compared once, bit for bit, with the
 same sumset bracketed the other way (`rebracketed_window`), so a later
 counterexample costs O(1), not an O(n) `exists` miss; the predicate has no
 second window and judges each of its counterexamples pointwise.  Any
 disagreement raises AssertionError.  The negative control refuses hi above
 `oracle.MAX_ENUMERATED_N`: its first counterexample is an O(lo) `exists`
-miss, and a window too narrow to sieve pays one such miss per
-counterexample.
+miss, and a range left pointwise pays one such miss per counterexample.
 """
 
 from __future__ import annotations
@@ -62,19 +62,14 @@ from .oracle import (
 
 DEFAULT_CHUNK = 1 << 14
 
-# An oracle range [lo, hi] is sieved iff hi <= SIEVE_RATIO * min(hi - lo + 1,
-# DEFAULT_CHUNK), so a unit holds at most SIEVE_RATIO * DEFAULT_CHUNK = 2^26
-# marks and a sieve's integers stay below twice as many bits (16 MiB at the
-# default chunk).  A sieve costs about the same whatever the width; a
-# pointwise scan costs the width times one exists call.  Averaged over the
-# catalog entries (2-core x86 VM, Python 3.11, median of four runs), one
-# exists call near hi and one sieve up to hi cost 75 us / 0.39 ms at hi =
-# 1.65e4, 223 us / 2.4 ms at 1e5 and 0.75 ms / 82 ms at 1e6; sieving a sample
-# of entries, 1.5 ms / 0.68 s at 4e6 and 2.9 ms / 3.4 s at 1e7.  They break
-# even at widths of hi/3200 to hi/9300, so 4096 sieves where the sieve is
-# about twice as cheap from 1e5 up (near 1.65e4 the two cost about the same)
-# and keeps one-value windows above 4096 pointwise.
-SIEVE_RATIO = 4096
+# A sieved unit builds bitsets of up to hi bits and reads them as a string of
+# one "0"/"1" byte per value, whose copies dominate its memory: its peak RSS
+# grew by 19, 36, 77 and 145 MB for [0, hi] at hi = 2^23, 2^24, 2^25 and 2^26
+# (about 2.3 bytes per value; 1*sq+1*sq+1*tri on a 2-core x86 VM, Python
+# 3.11).  So an oracle range is sieved only while hi <= MAX_WINDOW_HI, about
+# 145 MB per worker, and then only where _oracle_prices prices the window
+# below judging each n.
+MAX_WINDOW_HI = 1 << 26
 
 # The estimated cost of a unit, in seconds; see _unit_cost.  Measured on a
 # 2-core x86 VM, Python 3.11.  A constructive value n costs 15 us plus
@@ -82,9 +77,10 @@ SIEVE_RATIO = 4096
 # 1e7 and 1e9 (the five forms, 256 values each).  An exists hit near n costs
 # 0.45 to 0.95 us * sqrt(n) averaged over the catalog's in-domain values
 # (82 us at 1.6e4, 0.68 ms at 1e6, 7.9 ms at 1e8).  A window up to hi costs
-# 1.1 us * sqrt(hi) + 0.09 ns * hi^1.5, within a third of the sieve figures
-# above from 1.65e4 to 1e7, and reading a window's marks 0.06 to 0.09 us
-# per value.
+# 1.1 us * sqrt(hi) + 0.09 ns * hi^1.5, within a third of the median sieve
+# from 1.65e4 to 1e7 (0.39 ms, 2.4 ms and 82 ms at 1.65e4, 1e5 and 1e6 over
+# the catalog; 0.68 s and 3.4 s at 4e6 and 1e7 over a sample of entries),
+# and reading a window's marks 0.06 to 0.09 us per value.
 CONSTRUCTIVE_S = 15e-6
 CONSTRUCTIVE_ROOT4_S = 0.6e-6
 EXISTS_HIT_S = 0.7e-6
@@ -99,21 +95,10 @@ MARK_S = 0.09e-6
 POOL_START_S = 0.02
 POOL_UNIT_S = 0.22e-3
 
-SOURCES = ("theorem2", "theorem1_i", "theorem1_ii", "theorem1_iii", "panaitopol")
-
 DOMAINS = ("all", "positive", "positive_odd")
 
-_Judge = Callable[[int], bool]  # n -> is n represented?
-_Window = Callable[[int, int], int]  # (lo, hi) -> bitset, bit k set iff lo + k represented
-
-# oracle predicates a catalog entry may name instead of a term list, each
-# judge and window looked up in the module globals when called
-_PREDICATES: dict[str, tuple[_Judge, _Window]] = {
-    "mixed-parity-two-squares": (
-        lambda n: exists_constrained_two_squares_triangular(n),
-        lambda lo, hi: constrained_two_squares_triangular_window(lo, hi),
-    ),
-}
+# the one oracle predicate a catalog entry may name instead of a term list
+_PREDICATE = "mixed-parity-two-squares"
 
 
 @dataclass(frozen=True)
@@ -150,7 +135,7 @@ class CatalogEntry:
 
     @property
     def predicate(self) -> str | None:
-        return self.name if self.name in _PREDICATES else None
+        return self.name if self.name == _PREDICATE else None
 
     @property
     def spec(self) -> FormSpec | None:
@@ -197,6 +182,8 @@ _TABLE = (
     ("panaitopol", "established", "positive_odd", "1*sq+1*sq+2*sq 1*sq+2*sq+3*sq 1*sq+2*sq+4*sq"),
 )
 
+SOURCES = tuple(dict.fromkeys(source for source, *_ in _TABLE))
+
 CATALOG = tuple(
     CatalogEntry(source, name, domain, status)
     for source, status, domain, names in _TABLE
@@ -229,11 +216,14 @@ def _domain_values(domain: str, lo: int, hi: int) -> range:
 
 def _judges(
     entry: CatalogEntry, mode: str
-) -> tuple[_Judge, _Window | None, _Window | None]:
-    """The entry's pointwise judge, its window for an oracle scan and, for a
-    term list, the rebracketed window that confirms the first.
+) -> tuple[
+    Callable[[int], bool], Callable[[int, int], int] | None, Callable[[int, int], int] | None
+]:
+    """The entry's pointwise judge (n -> is n represented?), its window for
+    an oracle scan ((lo, hi) -> bitset, bit k set iff lo + k is represented)
+    and, for a term list, the rebracketed window that confirms the first.
 
-    exists, represent, verify, the windows and the predicates' judges are
+    exists, represent, verify, the windows and the predicate's judge are
     looked up in the module globals when called, so tracing and tests can
     rebind them.
     """
@@ -241,7 +231,11 @@ def _judges(
         form = entry.form
         return (lambda n: verify(represent(form, n))), None, None
     if entry.predicate is not None:
-        return (*_PREDICATES[entry.predicate], None)
+        return (
+            (lambda n: exists_constrained_two_squares_triangular(n)),
+            (lambda lo, hi: constrained_two_squares_triangular_window(lo, hi)),
+            None,
+        )
     spec = entry.spec
     return (
         (lambda n: exists(spec, n)),
@@ -253,23 +247,30 @@ def _judges(
 _Unit = tuple[CatalogEntry, str, int, int]  # (entry, mode, lo, hi): a whole scan or one chunk
 
 
+def _oracle_prices(lo: int, hi: int) -> tuple[float, float]:
+    """Estimated seconds for an oracle unit [lo, hi]: sieved (a window, its
+    marks and an exists hit per block) and pointwise (an exists hit per n)."""
+    width = hi - lo + 1
+    hit = EXISTS_HIT_S * math.sqrt(hi)
+    blocks = -(-width // DEFAULT_CHUNK)
+    window = WINDOW_ROOT_S * math.sqrt(hi) + WINDOW_POW_S * hi**1.5
+    return blocks * hit + window + MARK_S * width, width * hit
+
+
 def _sieves(lo: int, hi: int) -> bool:
-    """Whether an oracle range [lo, hi] is read off a window (see SIEVE_RATIO)."""
-    return hi <= SIEVE_RATIO * min(hi - lo + 1, DEFAULT_CHUNK)
+    """Whether an oracle range [lo, hi] is read off a window: only up to
+    MAX_WINDOW_HI, and only where the window is the cheaper estimate."""
+    sieved, pointwise = _oracle_prices(lo, hi)
+    return hi <= MAX_WINDOW_HI and sieved < pointwise
 
 
 def _unit_cost(unit: _Unit) -> float:
     """Estimated seconds for _scan_unit(unit), from the constants above."""
     _, mode, lo, hi = unit
-    width = hi - lo + 1
     if mode == "constructive":
-        return width * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT4_S * hi**0.25)
-    hit = EXISTS_HIT_S * math.sqrt(hi)
-    if not _sieves(lo, hi):
-        return width * hit
-    blocks = -(-width // DEFAULT_CHUNK)
-    window = WINDOW_ROOT_S * math.sqrt(hi) + WINDOW_POW_S * hi**1.5
-    return blocks * hit + window + MARK_S * width
+        return (hi - lo + 1) * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT4_S * hi**0.25)
+    sieved, pointwise = _oracle_prices(lo, hi)
+    return sieved if _sieves(lo, hi) else pointwise
 
 
 def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
@@ -408,10 +409,10 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     The form x^2 + y^2 + z^2 misses exactly the numbers 4^k(8l+7); finding
     precisely those as counterexamples shows the oracle cannot pass
     vacuously.  A disagreement with the independent classifier raises.
-    The scan is one unit under the cap (a range too narrow to sieve spans
-    fewer than 245 values).  Its first counterexample is an O(lo) exists
-    miss, and so is every counterexample of a range too narrow to sieve,
-    so hi may not exceed MAX_ENUMERATED_N.
+    The scan is one unit under the cap (a range left pointwise spans fewer
+    than 132 values).  Its first counterexample is an O(lo) exists miss,
+    and so is every counterexample of a range left pointwise, so hi may not
+    exceed MAX_ENUMERATED_N.
     """
     if hi > MAX_ENUMERATED_N:
         raise ValueError(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -262,9 +263,10 @@ def test_worker_count_does_not_change_reports(monkeypatch):
 
 
 def test_control_partitioning_keeps_order(monkeypatch):
-    # a zero ratio makes the control pointwise, so it runs in 32-value chunks
+    # a negative window bound makes the control pointwise, so it runs in
+    # 32-value chunks
     monkeypatch.setattr(sv, "DEFAULT_CHUNK", 32)
-    monkeypatch.setattr(sv, "SIEVE_RATIO", 0)
+    monkeypatch.setattr(sv, "MAX_WINDOW_HI", -1)
     started = _free_pool(monkeypatch)
     a = negative_control(0, 300, jobs=1)
     b = negative_control(0, 300, jobs=3)
@@ -306,22 +308,36 @@ def test_wide_oracle_scans_plan_a_pool(monkeypatch, entries, hi, workers):
     assert sv._plan_workers(2, units) == workers
 
 
-def test_cost_estimate_follows_the_sieve_predicate(monkeypatch):
-    # one-value chunks above SIEVE_RATIO are judged pointwise, so their cost
-    # is one exists hit; the same chunk sieved costs a window and its marks
-    entry = catalog_entries("theorem1_ii")[0]
-    unit = (entry, "oracle", 16384, 16384)
-    assert not sv._sieves(16384, 16384)
-    assert sv._unit_cost(unit) == pytest.approx(sv.EXISTS_HIT_S * 128)
-    monkeypatch.setattr(sv, "SIEVE_RATIO", 10**9)
-    assert sv._sieves(16384, 16384)
-    assert sv._unit_cost(unit) > sv.EXISTS_HIT_S * 128
+@pytest.mark.parametrize(
+    "lo, hi, sieved",
+    [
+        (16384, 16384, False),
+        (16497, 16500, False),
+        (16496, 16500, True),
+        (10**6 - 243, 10**6, True),
+        (10**9, 10**9 + 1, False),
+    ],
+)
+def test_sieve_choice_is_the_cheaper_estimate(lo, hi, sieved):
+    # sieved: the window, its marks and one exists hit per block; pointwise:
+    # one exists hit per value.  The unit costs the price of its path
+    width = hi - lo + 1
+    hit = sv.EXISTS_HIT_S * math.sqrt(hi)
+    window = sv.WINDOW_ROOT_S * math.sqrt(hi) + sv.WINDOW_POW_S * hi**1.5
+    prices = (-(-width // sv.DEFAULT_CHUNK) * hit + window + sv.MARK_S * width, width * hit)
+    assert sv._oracle_prices(lo, hi) == pytest.approx(prices)
+    assert sv._sieves(lo, hi) == sieved == (prices[0] < prices[1])
+    unit = (catalog_entries("theorem1_ii")[0], "oracle", lo, hi)
+    assert sv._unit_cost(unit) == pytest.approx(prices[0] if sieved else prices[1])
 
 
 def test_sieved_unit_marks_are_bounded():
-    # a unit's window never holds more than SIEVE_RATIO * DEFAULT_CHUNK marks
-    assert sv._sieves(0, sv.SIEVE_RATIO * sv.DEFAULT_CHUNK)
-    assert not sv._sieves(0, sv.SIEVE_RATIO * sv.DEFAULT_CHUNK + 1)
+    # a unit's window never holds marks past 2^26, however cheap the model
+    # prices it
+    assert sv._sieves(0, 1 << 26)
+    assert not sv._sieves(0, (1 << 26) + 1)
+    sieved, pointwise = sv._oracle_prices(0, (1 << 26) + 1)
+    assert sieved < pointwise
 
 
 def test_pool_size_is_bounded(monkeypatch):
@@ -345,10 +361,11 @@ def _scan_all(lo, hi):
 @pytest.mark.parametrize("lo, hi", [(0, 1200), (601, 1600)])
 def test_pointwise_scan_equals_sieved_scan(monkeypatch, lo, hi):
     # one wide sieved chunk (the defaults) against 64-value chunks that a
-    # zero ratio makes pointwise; an odd lo moves every domain's chunk edges
+    # negative window bound makes pointwise; an odd lo moves every domain's
+    # chunk edges
     sieved = _scan_all(lo, hi)
     monkeypatch.setattr(sv, "DEFAULT_CHUNK", 64)
-    monkeypatch.setattr(sv, "SIEVE_RATIO", 0)
+    monkeypatch.setattr(sv, "MAX_WINDOW_HI", -1)
     monkeypatch.setattr(sv, "representable_window", _no_sieve)
     assert _scan_all(lo, hi) == sieved
 
