@@ -8,12 +8,24 @@ never the other way around, so this module must stay independent of the
 construction machinery: it imports only the named forms and their term
 table (to translate them into term lists) and the width checks.
 
+`exists` makes one top-first pass before its full walk: for each outer
+value it tries only the largest value of the middle slot that fits, then
+solves the last slot.  The remainder left is below one gap between
+neighbouring middle values, so a hit usually comes within about n^(1/4)
+outer values; when the pass finds none, the full walk answers, so the
+answer stays exact.  The parity-constrained predicate does the same with
+the largest square.
+
 Range windows (`representable_window`) enumerate the same term values, but
 over a whole range at once: the represented numbers up to hi are the sumset
 of the three slots' value sets, built as Python-integer bitsets with one
-shift-OR per value of the second and third slot.  `rebracketed_window`
-builds the same sumset associated the other way, so a scan can check one
-window against the other.
+shift-OR per value of the second and third slot.  The pair sumset of the
+first two slots is kept for the next call (one pair, the last built), so a
+scan that runs the term lists sharing a pair one after the other builds it
+once; `forget_pair` drops it.  `rebracketed_window` builds the same sumset
+associated the other way, always from its own pair and never from the kept
+one, so a scan can check one window against the other: a fault in either
+bracketing, or in the pair a scan shares, shows as a difference.
 
 Counting convention: every coordinate ranges over all of Z within its
 evaluation bound.  Sign pairs x, -x of a square index and the index pair
@@ -180,10 +192,21 @@ def exists(spec: FormSpec, n: int) -> bool:
     # the two sparsest slots outermost (fewest candidate values, in
     # _by_density order), the densest solved directly: v is c*square iff
     # c | v and v/c is square, similarly v is c*triangular iff c | v and
-    # 8(v/c)+1 is a perfect square.  The solve is inlined, not a
-    # _third_indices call, because a miss runs this loop to its end: it is
-    # the hot loop of the negative control's misses
+    # 8(v/c)+1 is a perfect square
     c, b, a = _by_density(spec)
+    # first pass, top-first: for each outer value only the largest middle
+    # value that fits, so the solved slot sees a remainder below one gap
+    # between neighbouring middle values, O(sqrt(n)) rather than about n, and
+    # a hit takes about n^(1/4) steps instead of sqrt(n)
+    for va in _values(a, n):
+        rb = n - va
+        i = _top_index(b, rb)
+        vb = b.coeff * (i * i if b.kind == "sq" else i * (i + 1) // 2)
+        if _third_indices(c, rb - vb):
+            return True
+    # then every pair, so the answer stays exact.  The solve is inlined, not
+    # a _third_indices call, because a miss runs this loop to its end: it is
+    # the hot loop of the negative control's misses
     cc = c.coeff
     tri = c.kind == "tri"
     for va in _values(a, n):
@@ -258,10 +281,21 @@ def _shifted_union(bits: int, shifts: Iterable[int], lo: int, hi: int) -> int:
     return out & ((1 << (hi - lo + 1)) - 1)
 
 
-def _sumset_window(first: Term, second: Term, third: Term, lo: int, hi: int) -> int:
-    """(first + second) + third over [lo, hi], as a bitset offset by lo."""
-    pair = _shifted_union(_bits(_values(first, hi), hi), _values(second, hi), 0, hi)
-    return _shifted_union(pair, _values(third, hi), lo, hi)
+def _pair_sumset(first: Term, second: Term, hi: int) -> int:
+    """first + second up to hi, as a bitset."""
+    return _shifted_union(_bits(_values(first, hi), hi), _values(second, hi), 0, hi)
+
+
+# The last pair sumset representable_window built, as ((first, second, hi),
+# bitset), or None: a scan that runs the term lists sharing a pair one after
+# the other builds that pair once.  forget_pair drops it.
+_last_pair: tuple[tuple[Term, Term, int], int] | None = None
+
+
+def forget_pair() -> None:
+    """Drop the pair sumset representable_window keeps for its next call."""
+    global _last_pair
+    _last_pair = None
 
 
 def representable_window(spec: FormSpec, lo: int, hi: int) -> int:
@@ -270,23 +304,30 @@ def representable_window(spec: FormSpec, lo: int, hi: int) -> int:
     The sumset of the three slots' value sets up to hi, so it costs
     O(sqrt(hi)) shift-ORs of (hi + 1)-bit integers whatever the width.
     The densest slot a becomes the shifted bitset and the sparser b and c
-    supply the shifts: (a + b) + c.
+    supply the shifts: (a + b) + c.  The pair a + b is reused when the last
+    call built the same one.
     """
+    global _last_pair
     check_range(lo, hi)
     a, b, c = _by_density(spec)
-    return _sumset_window(a, b, c, lo, hi)
+    key = (a, b, hi)
+    if _last_pair is None or _last_pair[0] != key:
+        _last_pair = None  # never two pairs alive at once
+        _last_pair = key, _pair_sumset(a, b, hi)
+    return _shifted_union(_last_pair[1], _values(c, hi), lo, hi)
 
 
 def rebracketed_window(spec: FormSpec, lo: int, hi: int) -> int:
     """`representable_window` bracketed the other way, a + (b + c).
 
-    The two sparser slots are summed first and the sum is shifted by every
-    value of the densest slot, so no intermediate bitset is shared with
-    `representable_window`; the two are equal whenever both are right.
+    The two sparser slots are summed first, always afresh, and the sum is
+    shifted by every value of the densest slot, so no intermediate bitset is
+    shared with `representable_window`; the two are equal whenever both are
+    right.
     """
     check_range(lo, hi)
     a, b, c = _by_density(spec)
-    return _sumset_window(b, c, a, lo, hi)
+    return _shifted_union(_pair_sumset(b, c, hi), _values(a, hi), lo, hi)
 
 
 def constrained_two_squares_triangular_window(lo: int, hi: int) -> int:
@@ -345,6 +386,15 @@ def exists_constrained_two_squares_triangular(n: int) -> bool:
     Fails exactly at n = 0 among the naturals checked in the catalogs.
     """
     _check_natural(n, "n")
+    # first pass, top-first as in exists: for each t only the largest y,
+    # then every pair
+    for t in _values(Term(1, "tri"), n):
+        rem = n - t
+        y = isqrt(rem)
+        xx = rem - y * y
+        x = isqrt(xx)
+        if x * x == xx and ((x ^ y) & 1 == 1 or (x == y and x > 0)):
+            return True
     for t in _values(Term(1, "tri"), n):
         rem = n - t
         for x in range(isqrt(rem // 2) + 1):  # 2x^2 <= rem

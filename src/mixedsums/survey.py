@@ -24,6 +24,11 @@ start and feed; otherwise every unit runs in this process.  Unit results
 are merged in index order, which keeps reports byte-for-byte identical
 whatever the worker count.
 
+A sieved scan runs its term-list units ordered, stably, by the pair of
+slots their window sums first (the predicate keeps its place), so that the
+oracle's one kept pair serves every entry that shares it; the pair is
+dropped when the scan ends, and results go back in unit order.
+
 A unit reads every in-domain verdict first, then judges them.  Constructive
 units, and oracle units left pointwise, read each verdict pointwise.  A
 sieved unit reads them off one sumset bitset of its whole range, and the
@@ -32,10 +37,12 @@ block and the unit's first counterexample.  With two or more
 counterexamples, a term-list window is compared once, bit for bit, with the
 same sumset bracketed the other way (`rebracketed_window`), so a later
 counterexample costs O(1), not an O(n) `exists` miss; the predicate has no
-second window and judges each of its counterexamples pointwise.  Any
-disagreement raises AssertionError.  The negative control refuses hi above
-`oracle.MAX_ENUMERATED_N`: its first counterexample is an O(lo) `exists`
-miss, and a range left pointwise pays one such miss per counterexample.
+second window and judges each of its counterexamples pointwise.  The
+rebracketed window never reads the kept pair, so it checks a shared pair as
+independently as a fresh one.  Any disagreement raises AssertionError.  The
+negative control refuses hi above `oracle.MAX_ENUMERATED_N`: its first
+counterexample is an O(lo) `exists` miss, and a range left pointwise pays
+one such miss per counterexample.
 """
 
 from __future__ import annotations
@@ -51,10 +58,12 @@ from .forms import MixedForm, represent, verify
 from .oracle import (
     MAX_ENUMERATED_N,
     FormSpec,
+    _by_density,
     check_range,
     constrained_two_squares_triangular_window,
     exists,
     exists_constrained_two_squares_triangular,
+    forget_pair,
     rebracketed_window,
     representable_window,
     spec_of,
@@ -74,18 +83,25 @@ MAX_WINDOW_HI = 1 << 26
 # The estimated cost of a unit, in seconds; see _unit_cost.  Measured on a
 # 2-core x86 VM, Python 3.11.  A constructive value n costs 15 us plus
 # 0.6 us * n^(1/4): 15, 19, 25, 32, 59 and 135 us at n = 0, 1e4, 1e5, 9e5,
-# 1e7 and 1e9 (the five forms, 256 values each).  An exists hit near n costs
-# 0.45 to 0.95 us * sqrt(n) averaged over the catalog's in-domain values
-# (82 us at 1.6e4, 0.68 ms at 1e6, 7.9 ms at 1e8).  A window up to hi costs
-# 1.1 us * sqrt(hi) + 0.09 ns * hi^1.5, within a third of the median sieve
-# from 1.65e4 to 1e7 (0.39 ms, 2.4 ms and 82 ms at 1.65e4, 1e5 and 1e6 over
-# the catalog; 0.68 s and 3.4 s at 4e6 and 1e7 over a sample of entries),
-# and reading a window's marks 0.06 to 0.09 us per value.
+# 1e7 and 1e9 (the five forms, 256 values each).  An exists hit near n,
+# found top-first, costs 1.1 to 1.8 us * n^(1/4) averaged over the catalog's
+# in-domain values (16 us at 1.65e4, 47 us at 1e6, 0.11 ms at 1e8, 0.38 ms
+# at 1e10), and an exists miss 0.25 us * n (the control near 1e4, 1e5 and
+# 1e6).  A window up to hi, its pair a + b built afresh, costs
+# 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75: sqrt(hi) shift-ORs of hi-bit
+# integers, each dearer per bit once they outgrow the caches.  That is
+# within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms
+# and 60 ms at 1.65e4, 1e5 and 1e6 over the catalog; 0.7 to 2.0 s, 9.4 to
+# 15 s and 24 to 37 s at 4.2e6, 1.7e7 and 3.4e7 over a sample of entries).
+# A window whose pair the scan built for the entry before it costs less, so
+# the window price is an upper bound.  Reading a window's marks costs 0.06
+# to 0.09 us per value.
 CONSTRUCTIVE_S = 15e-6
 CONSTRUCTIVE_ROOT4_S = 0.6e-6
-EXISTS_HIT_S = 0.7e-6
-WINDOW_ROOT_S = 1.1e-6
-WINDOW_POW_S = 0.09e-9
+EXISTS_HIT_S = 1.5e-6
+EXISTS_MISS_S = 0.25e-6
+WINDOW_ROOT_S = 2.5e-6
+WINDOW_POW_S = 2.5e-12
 MARK_S = 0.09e-6
 
 # A pool of two workers took 13 ms to start and stop in a warm process and
@@ -247,30 +263,38 @@ def _judges(
 _Unit = tuple[CatalogEntry, str, int, int]  # (entry, mode, lo, hi): a whole scan or one chunk
 
 
-def _oracle_prices(lo: int, hi: int) -> tuple[float, float]:
+def _oracle_prices(entry: CatalogEntry, lo: int, hi: int) -> tuple[float, float]:
     """Estimated seconds for an oracle unit [lo, hi]: sieved (a window, its
-    marks and an exists hit per block) and pointwise (an exists hit per n)."""
+    marks and an exists hit per block) and pointwise (an exists hit per n).
+
+    Both paths judge the control's first counterexample with an O(n) exists
+    miss, but only the pointwise one pays such a miss for every later one,
+    and the 4^k(8l+7) it expects are a sixth of all n.
+    """
     width = hi - lo + 1
-    hit = EXISTS_HIT_S * math.sqrt(hi)
+    hit = EXISTS_HIT_S * hi**0.25
     blocks = -(-width // DEFAULT_CHUNK)
-    window = WINDOW_ROOT_S * math.sqrt(hi) + WINDOW_POW_S * hi**1.5
-    return blocks * hit + window + MARK_S * width, width * hit
+    window = WINDOW_ROOT_S * math.sqrt(hi) + WINDOW_POW_S * hi**1.75
+    later_misses = max(width // 6 - 1, 0) if entry is _CONTROL else 0
+    sieved = blocks * hit + window + MARK_S * width
+    return sieved, width * hit + later_misses * EXISTS_MISS_S * hi
 
 
-def _sieves(lo: int, hi: int) -> bool:
-    """Whether an oracle range [lo, hi] is read off a window: only up to
-    MAX_WINDOW_HI, and only where the window is the cheaper estimate."""
-    sieved, pointwise = _oracle_prices(lo, hi)
+def _sieves(entry: CatalogEntry, lo: int, hi: int) -> bool:
+    """Whether an oracle scan of entry over [lo, hi] is read off a window:
+    only up to MAX_WINDOW_HI, and only where the window is the cheaper
+    estimate."""
+    sieved, pointwise = _oracle_prices(entry, lo, hi)
     return hi <= MAX_WINDOW_HI and sieved < pointwise
 
 
 def _unit_cost(unit: _Unit) -> float:
     """Estimated seconds for _scan_unit(unit), from the constants above."""
-    _, mode, lo, hi = unit
+    entry, mode, lo, hi = unit
     if mode == "constructive":
         return (hi - lo + 1) * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT4_S * hi**0.25)
-    sieved, pointwise = _oracle_prices(lo, hi)
-    return sieved if _sieves(lo, hi) else pointwise
+    sieved, pointwise = _oracle_prices(entry, lo, hi)
+    return sieved if _sieves(entry, lo, hi) else pointwise
 
 
 def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
@@ -279,7 +303,7 @@ def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
     check, window, rebracketed = _judges(entry, mode)
     ns = _domain_values(entry.domain, lo, hi)
     width = hi - lo + 1
-    if window is None or not _sieves(lo, hi):
+    if window is None or not _sieves(entry, lo, hi):
         # a constructive unit, or an oracle one too narrow to sieve
         bad = [n for n in ns if not check(n)]
     else:
@@ -339,6 +363,17 @@ def _plan_workers(jobs: int, units: Sequence[_Unit]) -> int:
     return workers if pooled < here else 1
 
 
+def _pair_order(units: Sequence[_Unit]) -> list[int]:
+    """The order to run a sieved scan's units in: the term lists sorted,
+    stably, by the pair their window sums first, so that each shared pair is
+    built once; the predicate keeps its place."""
+    lists = [i for i, (entry, *_) in enumerate(units) if entry.predicate is None]
+    order = list(range(len(units)))
+    for i, j in zip(lists, sorted(lists, key=lambda i: _by_density(units[i][0].spec)[:2])):
+        order[i] = j
+    return order
+
+
 def _run_scans(
     entries: Sequence[CatalogEntry], mode: str, lo: int, hi: int, jobs: int
 ) -> list[RangeReport]:
@@ -346,19 +381,25 @@ def _run_scans(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # a sieved oracle scan is one unit per entry, any other one unit per chunk
-    size = hi - lo + 1 if mode == "oracle" and _sieves(lo, hi) else DEFAULT_CHUNK
+    sieved = mode == "oracle" and all(_sieves(e, lo, hi) for e in entries)
+    size = hi - lo + 1 if sieved else DEFAULT_CHUNK
     chunks = [(c, min(c + size - 1, hi)) for c in range(lo, hi + 1, size)]
     units = [(entry, mode, clo, chi) for entry in entries for clo, chi in chunks]
+    order = _pair_order(units) if sieved else list(range(len(units)))
     workers = _plan_workers(jobs, units)
-    if workers > 1:
-        # imported here: it loads multiprocessing, which a one-process scan
-        # and every other command never need
-        from concurrent.futures import ProcessPoolExecutor
+    try:
+        if workers > 1:
+            # imported here: it loads multiprocessing, which a one-process
+            # scan and every other command never need
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_unit, units))
-    else:
-        results = [_scan_unit(u) for u in units]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                ran = list(pool.map(_scan_unit, [units[i] for i in order]))
+        else:
+            ran = [_scan_unit(units[i]) for i in order]
+    finally:
+        forget_pair()
+    results = [row for _, row in sorted(zip(order, ran))]  # back in unit order
     reports = []
     per = len(chunks)
     for i, entry in enumerate(entries):
@@ -410,7 +451,7 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     precisely those as counterexamples shows the oracle cannot pass
     vacuously.  A disagreement with the independent classifier raises.
     The scan is one unit under the cap (a range left pointwise spans fewer
-    than 132 values).  Its first counterexample is an O(lo) exists miss,
+    than 12 values).  Its first counterexample is an O(lo) exists miss,
     and so is every counterexample of a range left pointwise, so hi may not
     exceed MAX_ENUMERATED_N.
     """

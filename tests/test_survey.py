@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mixedsums
+import mixedsums.oracle as oracle
 import mixedsums.survey as sv
 from mixedsums.forms import MixedForm
 from mixedsums.oracle import MAX_ENUMERATED_N, spec_of
@@ -276,7 +277,7 @@ def test_control_partitioning_keeps_order(monkeypatch):
 
 
 def test_small_survey_runs_in_this_process(monkeypatch):
-    # 35 sieved 128-value chunks take about 18 ms, less than a pool costs
+    # 35 sieved 128-value chunks take about 7 ms, less than a pool costs
     base = verify_catalog(None, 16384, 16511, jobs=1)
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
@@ -303,40 +304,59 @@ def test_wide_oracle_scans_plan_a_pool(monkeypatch, entries, hi, workers):
     # per entry: 35 units of about 5 ms pay for a pool, the control's one
     # unit runs in this process
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
-    assert sv._sieves(0, hi)
+    assert all(sv._sieves(e, 0, hi) for e in entries)
     units = [(e, "oracle", 0, hi) for e in entries]
     assert sv._plan_workers(2, units) == workers
 
 
+_LIST = catalog_entries("theorem1_ii")[0]
+
+
+def _priced(entry, lo, hi, sieved):
+    prefix = "control-" if entry is sv._CONTROL else ""
+    return pytest.param(entry, lo, hi, sieved, id=f"{prefix}{lo}-{hi}-{sieved}")
+
+
 @pytest.mark.parametrize(
-    "lo, hi, sieved",
+    "entry, lo, hi, sieved",
     [
-        (16384, 16384, False),
-        (16497, 16500, False),
-        (16496, 16500, True),
-        (10**6 - 243, 10**6, True),
-        (10**9, 10**9 + 1, False),
+        _priced(_LIST, 16384, 16384, False),
+        _priced(_LIST, 16497, 16500, False),
+        _priced(_LIST, 16496, 16500, False),
+        _priced(_LIST, 16477, 16500, True),
+        _priced(_LIST, 999757, 10**6, False),
+        _priced(_LIST, 10**6 - 1723, 10**6, True),
+        _priced(_LIST, 10**9, 10**9 + 1, False),
+        _priced(sv._CONTROL, 10**6 - 10, 10**6, False),
+        _priced(sv._CONTROL, 10**6 - 11, 10**6, True),
+        _priced(sv._CONTROL, 999757, 10**6, True),
     ],
 )
-def test_sieve_choice_is_the_cheaper_estimate(lo, hi, sieved):
+def test_sieve_choice_is_the_cheaper_estimate(entry, lo, hi, sieved):
     # sieved: the window, its marks and one exists hit per block; pointwise:
-    # one exists hit per value.  The unit costs the price of its path
+    # one exists hit per value and, for the control, an exists miss for each
+    # expected counterexample after the first.  The unit costs the price of
+    # its path
     width = hi - lo + 1
-    hit = sv.EXISTS_HIT_S * math.sqrt(hi)
-    window = sv.WINDOW_ROOT_S * math.sqrt(hi) + sv.WINDOW_POW_S * hi**1.5
-    prices = (-(-width // sv.DEFAULT_CHUNK) * hit + window + sv.MARK_S * width, width * hit)
-    assert sv._oracle_prices(lo, hi) == pytest.approx(prices)
-    assert sv._sieves(lo, hi) == sieved == (prices[0] < prices[1])
-    unit = (catalog_entries("theorem1_ii")[0], "oracle", lo, hi)
+    hit = sv.EXISTS_HIT_S * hi**0.25
+    window = sv.WINDOW_ROOT_S * math.sqrt(hi) + sv.WINDOW_POW_S * hi**1.75
+    misses = max(width // 6 - 1, 0) if entry is sv._CONTROL else 0
+    prices = (
+        -(-width // sv.DEFAULT_CHUNK) * hit + window + sv.MARK_S * width,
+        width * hit + misses * sv.EXISTS_MISS_S * hi,
+    )
+    assert sv._oracle_prices(entry, lo, hi) == pytest.approx(prices)
+    assert sv._sieves(entry, lo, hi) == sieved == (prices[0] < prices[1])
+    unit = (entry, "oracle", lo, hi)
     assert sv._unit_cost(unit) == pytest.approx(prices[0] if sieved else prices[1])
 
 
 def test_sieved_unit_marks_are_bounded():
     # a unit's window never holds marks past 2^26, however cheap the model
     # prices it
-    assert sv._sieves(0, 1 << 26)
-    assert not sv._sieves(0, (1 << 26) + 1)
-    sieved, pointwise = sv._oracle_prices(0, (1 << 26) + 1)
+    assert sv._sieves(_LIST, 0, 1 << 26)
+    assert not sv._sieves(_LIST, 0, (1 << 26) + 1)
+    sieved, pointwise = sv._oracle_prices(_LIST, 0, (1 << 26) + 1)
     assert sieved < pointwise
 
 
@@ -538,6 +558,62 @@ def test_sieved_scan_builds_one_window_per_entry(monkeypatch):
     assert len(verify_catalog("theorem1_ii", 0, 3 * 2**14 - 1)) == 10
     assert len(calls) == 10
     assert {(lo, hi) for _, lo, hi in calls} == {(0, 3 * 2**14 - 1)}
+
+
+def _count_pair_builds(monkeypatch):
+    """The (first, second, hi) of every pair sumset the oracle builds."""
+    builds = []
+    real = oracle._pair_sumset
+
+    def counted(first, second, hi):
+        builds.append((first, second, hi))
+        return real(first, second, hi)
+
+    monkeypatch.setattr(oracle, "_pair_sumset", counted)
+    return builds
+
+
+def test_sieved_scan_builds_each_shared_pair_once(monkeypatch):
+    # the 34 term lists sum their windows' first two slots from only seven
+    # distinct pairs; the units run grouped by pair, the reports come back
+    # in catalog order
+    builds = _count_pair_builds(monkeypatch)
+    reports = verify_catalog(None, 16384, 16511, jobs=1)
+    assert [r.entry for r in reports] == list(CATALOG)
+    assert sum(e.predicate is None for e in CATALOG) == 34
+    assert len(builds) == len(set(builds)) == 7
+    assert oracle._last_pair is None
+
+
+def test_rebracketed_window_builds_its_own_pair(monkeypatch):
+    # the control's pairs (a, b) and (b, c) are both 1*sq+1*sq: the
+    # rebracketed window must not take the one representable_window kept
+    spec = sv._CONTROL.spec
+    window = oracle.representable_window(spec, 0, 500)
+    assert oracle._last_pair is not None
+    builds = _count_pair_builds(monkeypatch)
+    assert oracle.rebracketed_window(spec, 0, 500) == window
+    assert builds == [(spec.terms[0], spec.terms[1], 500)]
+    oracle.forget_pair()
+
+
+def test_no_pair_outlives_a_scan(monkeypatch):
+    oracle.representable_window(sv._CONTROL.spec, 0, 500)
+    negative_control(0, 300)
+    assert oracle._last_pair is None
+    # nor one that raised
+    _flip_window_bit(monkeypatch, 250)
+    with pytest.raises(AssertionError):
+        verify_theorem2_range(0, 500, mode="oracle", forms=[MixedForm.X2_6T_T])
+    assert oracle._last_pair is None
+
+
+def test_one_value_survey_near_2_to_61_finishes():
+    # n = t_(2^31): a one-value scan is judged pointwise, where a hit walked
+    # about sqrt(n) middle values before exists tried the top one first
+    n = 2305843010287435776
+    reports = verify_catalog("theorem1_ii", n, n)
+    assert [(r.verified_count, r.counterexamples) for r in reports] == [(1, ())] * 10
 
 
 def test_block_first_n_is_judged(monkeypatch):
