@@ -3,18 +3,22 @@
 Everything here is deliberately naive.  Representations are found by direct
 enumeration over integer indices, using no number theory beyond recognizing
 a perfect square (exact isqrt) and a triangular number (8v+1 a perfect
-square).  The constructive decomposer is judged against these routines,
-never the other way around, so this module must stay independent of the
-construction machinery: it imports only the named forms and their term
-table (to translate them into term lists) and the width checks.
+square), or looking a remainder up among a slot's enumerated values.  The
+constructive decomposer is judged against these routines, never the other
+way around, so this module must stay independent of the construction
+machinery: it imports only the named forms and their term table (to
+translate them into term lists) and the width checks.
 
 `exists` makes one top-first pass before its full walk: for each outer
 value it tries only the largest value of the middle slot that fits, then
 solves the last slot.  The remainder left is below one gap between
 neighbouring middle values, so a hit usually comes within about n^(1/4)
 outer values; when the pass finds none, the full walk answers, so the
-answer stays exact.  The parity-constrained predicate does the same with
-the largest square.
+answer stays exact.  The walk (`_walk`) takes the outer values from the top
+down and looks every remainder up in a set of the last slot's values, which
+grows with the remainder: a miss still tries O(n) pairs, at C speed, and
+holds O(sqrt(n)) values.  The parity-constrained predicate makes the same
+first pass with the largest square.
 
 Range windows (`representable_window`) enumerate the same term values, but
 over a whole range at once: the represented numbers up to hi are the sumset
@@ -136,6 +140,11 @@ def _top_index(term: Term, budget: int) -> int:
     return isqrt(q) if term.kind == "sq" else (isqrt(8 * q + 1) - 1) // 2
 
 
+def _value(term: Term, i: int) -> int:
+    """The slot's value at index i >= 0."""
+    return term.coeff * (i * i if term.kind == "sq" else i * (i + 1) // 2)
+
+
 def _values(term: Term, budget: int) -> Iterator[int]:
     """The slot's values up to budget, ascending, each once; lazy, so a
     caller that stops early never builds the rest."""
@@ -200,30 +209,36 @@ def exists(spec: FormSpec, n: int) -> bool:
     # a hit takes about n^(1/4) steps instead of sqrt(n)
     for va in _values(a, n):
         rb = n - va
-        i = _top_index(b, rb)
-        vb = b.coeff * (i * i if b.kind == "sq" else i * (i + 1) // 2)
-        if _third_indices(c, rb - vb):
+        if _third_indices(c, rb - _value(b, _top_index(b, rb))):
             return True
-    # then every pair, so the answer stays exact.  The solve is inlined, not
-    # a _third_indices call, because a miss runs this loop to its end: it is
-    # the hot loop of the negative control's misses
-    cc = c.coeff
-    tri = c.kind == "tri"
-    for va in _values(a, n):
-        rb = n - va
-        for vb in _values(b, rb):
-            q, r = divmod(rb - vb, cc)
-            if r:
-                continue
-            if tri:
-                d = 8 * q + 1
-                s = isqrt(d)
-                if s * s == d:
-                    return True
-            else:
-                s = isqrt(q)
-                if s * s == q:
-                    return True
+    # then every pair, so the answer stays exact
+    return _walk(a, b, c, n)
+
+
+def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
+    """True iff n = va + vb + vc for values va, vb, vc of the slots a, b, c.
+
+    The outer values va run from the top down, so the remainder rb = n - va
+    only grows.  The middle values up to rb, in a list, and the solved
+    slot's values up to rb, in a set, grow with it, and each va is one probe
+    of that set by every rb - vb.  A miss still tries every (va, vb) pair,
+    O(n) of them, but the probes run in C; it holds O(sqrt(n)) values, built
+    only as far as rb has grown.  This is the hot loop of the negative
+    control's misses.
+    """
+    bvals: list[int] = []
+    cvals: set[int] = set()
+    j = k = 0
+    for i in range(_top_index(a, n), -1, -1):
+        rb = n - _value(a, i)
+        while (vb := _value(b, j)) <= rb:
+            bvals.append(vb)
+            j += 1
+        while (vc := _value(c, k)) <= rb:
+            cvals.add(vc)
+            k += 1
+        if not cvals.isdisjoint([rb - vb for vb in bvals]):
+            return True
     return False
 
 
@@ -233,7 +248,8 @@ def exists(spec: FormSpec, n: int) -> bool:
 # exists miss near lo, the same walk, and a window too narrow to sieve pays
 # one such miss per counterexample.  On a 2-core x86 VM (Python 3.11) the
 # slowest term list, 1*tri+1*tri+1*tri, took 0.5 s to count and 2.0 s to
-# list every witness at n = 10^6, and 2.0 s and 8.5 s at n = 4*10^6.
+# list every witness at n = 10^6, and 2.0 s and 8.5 s at n = 4*10^6; the
+# control's exists miss at 999999 took 36 to 59 ms.
 MAX_ENUMERATED_N = 10**6
 
 

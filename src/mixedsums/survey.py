@@ -86,20 +86,22 @@ MAX_WINDOW_HI = 1 << 26
 # 1e7 and 1e9 (the five forms, 256 values each).  An exists hit near n,
 # found top-first, costs 1.1 to 1.8 us * n^(1/4) averaged over the catalog's
 # in-domain values (16 us at 1.65e4, 47 us at 1e6, 0.11 ms at 1e8, 0.38 ms
-# at 1e10), and an exists miss 0.25 us * n (the control near 1e4, 1e5 and
-# 1e6).  A window up to hi, its pair a + b built afresh, costs
-# 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75: sqrt(hi) shift-ORs of hi-bit
-# integers, each dearer per bit once they outgrow the caches.  That is
-# within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms
-# and 60 ms at 1.65e4, 1e5 and 1e6 over the catalog; 0.7 to 2.0 s, 9.4 to
-# 15 s and 24 to 37 s at 4.2e6, 1.7e7 and 3.4e7 over a sample of entries).
+# at 1e10), and an exists miss about 0.05 us * n (0.04 to 0.09 us * n over
+# five runs of the control's misses near 1e4, 1e5 and 1e6; 36 to 59 ms at
+# 1e6, nearly all of it in the walk's set probes).  A window up to hi, its
+# pair a + b built afresh, costs 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75:
+# sqrt(hi) shift-ORs of hi-bit integers, each dearer per bit once they
+# outgrow the caches.  That is within a third of the median sieve from
+# 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms and 60 ms at 1.65e4, 1e5 and 1e6 over the
+# catalog; 0.7 to 2.0 s, 9.4 to 15 s and 24 to 37 s at 4.2e6, 1.7e7 and
+# 3.4e7 over a sample of entries).
 # A window whose pair the scan built for the entry before it costs less, so
 # the window price is an upper bound.  Reading a window's marks costs 0.06
 # to 0.09 us per value.
 CONSTRUCTIVE_S = 15e-6
 CONSTRUCTIVE_ROOT4_S = 0.6e-6
 EXISTS_HIT_S = 1.5e-6
-EXISTS_MISS_S = 0.25e-6
+EXISTS_MISS_S = 0.05e-6
 WINDOW_ROOT_S = 2.5e-6
 WINDOW_POW_S = 2.5e-12
 MARK_S = 0.09e-6
@@ -451,9 +453,10 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     precisely those as counterexamples shows the oracle cannot pass
     vacuously.  A disagreement with the independent classifier raises.
     The scan is one unit under the cap (a range left pointwise spans fewer
-    than 12 values).  Its first counterexample is an O(lo) exists miss,
-    and so is every counterexample of a range left pointwise, so hi may not
-    exceed MAX_ENUMERATED_N.
+    than 12 values up to hi = 5*10^5, and fewer than 18 up to 10^6).  Its
+    first counterexample is an O(lo) exists miss, and so is every
+    counterexample of a range left pointwise, so hi may not exceed
+    MAX_ENUMERATED_N.
     """
     if hi > MAX_ENUMERATED_N:
         raise ValueError(

@@ -89,6 +89,24 @@ def naive_count(terms: list[tuple[int, str]], n: int) -> int:
     return len(all_witnesses(terms, n))
 
 
+def represented(terms: list[tuple[int, str]], hi: int) -> set[int]:
+    """Every m <= hi that some triple evaluates to, by forward sieve over
+    the non-negative indices (every term value has one)."""
+    (c0, k0), (c1, k1), (c2, k2) = terms
+    out: set[int] = set()
+    i = 0
+    while (v0 := term_value(c0, k0, i)) <= hi:
+        j = 0
+        while (v1 := v0 + term_value(c1, k1, j)) <= hi:
+            k = 0
+            while (m := v1 + term_value(c2, k2, k)) <= hi:
+                out.add(m)
+                k += 1
+            j += 1
+        i += 1
+    return out
+
+
 def constrained_two_squares_tri(n: int) -> bool:
     """n == t_i + x^2 + y^2 with x, y opposite parity or x == y > 0."""
     i = 0

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixedsums.oracle as oracle
 from mixedsums.forms import MixedForm, represent
 from mixedsums.oracle import (
     MAX_ENUMERATED_N,
@@ -22,7 +25,7 @@ from mixedsums.oracle import (
 )
 from mixedsums.survey import CATALOG
 
-from bruteforce import all_witnesses, constrained_two_squares_tri, naive_count
+from bruteforce import all_witnesses, constrained_two_squares_tri, naive_count, represented
 
 THREE_SQUARES = FormSpec((Term(1, "sq"), Term(1, "sq"), Term(1, "sq")))
 
@@ -33,6 +36,14 @@ SCANNED_SPECS = list(
         + [THREE_SQUARES]
     )
 )
+
+
+# term lists whose exact walk the catalog does not exercise: repeated slots,
+# and a coefficient above 1 in the solved (densest) slot
+WALK_SPECS = [
+    parse_form_spec(text)
+    for text in ("1*tri+1*tri+1*tri", "2*sq+2*sq+2*sq", "3*tri+3*tri+5*sq", "2*sq+3*sq+7*tri")
+]
 
 
 def spec_terms(spec: FormSpec) -> list[tuple[int, str]]:
@@ -116,8 +127,19 @@ def test_count_matches_naive_enumeration(spec):
 @settings(max_examples=150)
 @given(st.integers(min_value=0, max_value=3000))
 def test_exists_iff_positive_count(n):
-    for spec in (spec_of("x2+6t+t"), THREE_SQUARES):
+    for spec in (spec_of("x2+6t+t"), THREE_SQUARES, *WALK_SPECS):
         assert exists(spec, n) == (count(spec, n) > 0)
+
+
+@pytest.mark.parametrize("spec", SCANNED_SPECS + WALK_SPECS, ids=str)
+def test_exists_and_its_walk_match_bruteforce(spec):
+    # the exact walk on its own, without the top-first pass before it, must
+    # answer every n; so must exists
+    truth = represented(spec_terms(spec), 3000)
+    flags = [n in truth for n in range(3001)]
+    c, b, a = oracle._by_density(spec)
+    assert [oracle._walk(a, b, c, n) for n in range(3001)] == flags
+    assert [exists(spec, n) for n in range(3001)] == flags
 
 
 def test_exists_examples():
@@ -134,6 +156,36 @@ def test_exists_near_the_ceiling_solves_the_first_pair():
     n = (1 << 31) * ((1 << 31) + 1) // 2
     assert n == 2305843010287435776
     assert exists(spec_of("1*sq+1*sq+1*tri"), n)
+
+
+# represented n that the top-first pass misses, so the walk answers them:
+# the first ten such n of the control, and the 24 represented control block
+# starts k*2^14 below 10^6 among the 33 the pass misses (the other 9 are
+# 4^k(8l+7)); 49152 = 3*128^2 is only 128^2 + 128^2 + 128^2
+PASS_MISSES = [48, 88, 142, 172, 192, 267, 268, 280, 352, 384] + [
+    k << 14
+    for k in (3, 6, 11, 12, 14, 19, 21, 22, 24, 27, 30, 33, 35, 38, 42, 43, 44, 46, 48, 51, 54,
+              56, 57, 59)
+]
+
+
+def test_walk_answers_what_the_first_pass_misses(monkeypatch):
+    walk = oracle._walk
+    walked = []
+    monkeypatch.setattr(oracle, "_walk", lambda *args: walked.append(args[-1]) or walk(*args))
+    assert all(exists(THREE_SQUARES, n) for n in PASS_MISSES)
+    assert walked == PASS_MISSES
+
+
+def test_exists_miss_memory_is_sublinear():
+    # a miss at n walks O(n) pairs but holds only O(sqrt(n)) values
+    tracemalloc.start()
+    try:
+        assert not exists(THREE_SQUARES, 999999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_count_rejects_negative():

@@ -327,8 +327,8 @@ def _priced(entry, lo, hi, sieved):
         _priced(_LIST, 999757, 10**6, False),
         _priced(_LIST, 10**6 - 1723, 10**6, True),
         _priced(_LIST, 10**9, 10**9 + 1, False),
-        _priced(sv._CONTROL, 10**6 - 10, 10**6, False),
-        _priced(sv._CONTROL, 10**6 - 11, 10**6, True),
+        _priced(sv._CONTROL, 10**6 - 16, 10**6, False),
+        _priced(sv._CONTROL, 10**6 - 17, 10**6, True),
         _priced(sv._CONTROL, 999757, 10**6, True),
     ],
 )
