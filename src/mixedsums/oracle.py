@@ -17,8 +17,9 @@ outer values; when the pass finds none, the full walk answers, so the
 answer stays exact.  The walk (`_walk`) takes the outer values from the top
 down and looks every remainder up in a set of the last slot's values, which
 grows with the remainder: a miss still tries O(n) pairs, at C speed, and
-holds O(sqrt(n)) values.  The parity-constrained predicate makes the same
-first pass with the largest square.
+holds O(sqrt(n)) values.  The parity-constrained predicate judges each
+remainder by its parity, and makes the same kind of first pass: an odd
+remainder tried with its largest square, an even one settled as 2x^2.
 
 Range windows (`representable_window`) enumerate the same term values, but
 over a whole range at once: the represented numbers up to hi are the sumset
@@ -221,17 +222,18 @@ def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
     The outer values va run from the top down, so the remainder rb = n - va
     only grows.  The middle values up to rb, in a list, and the solved
     slot's values up to rb, in a set, grow with it, and each va is one probe
-    of that set by every rb - vb.  A miss still tries every (va, vb) pair,
-    O(n) of them, but the probes run in C; it holds O(sqrt(n)) values, built
-    only as far as rb has grown.  This is the hot loop of the negative
-    control's misses.
+    of that set by every rb - vb.  When b and c are the same slot, the
+    smaller of vb and vc is at most rb / 2, so the list stops there and each
+    unordered pair is probed once.  A miss still tries O(n) (va, vb) pairs,
+    but the probes run in C; it holds O(sqrt(n)) values, built only as far
+    as rb has grown.  This is the hot loop of the negative control's misses.
     """
     bvals: list[int] = []
     cvals: set[int] = set()
     j = k = 0
     for i in range(_top_index(a, n), -1, -1):
         rb = n - _value(a, i)
-        while (vb := _value(b, j)) <= rb:
+        while (vb := _value(b, j)) <= (rb // 2 if b == c else rb):
             bvals.append(vb)
             j += 1
         while (vc := _value(c, k)) <= rb:
@@ -245,11 +247,10 @@ def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
 # count and witnesses walk O(n) slot pairs per call, witnesses up to four
 # times as many as count (both signs of every index), so they refuse n above
 # this cap.  So does the negative control: its first counterexample is one
-# exists miss near lo, the same walk, and a window too narrow to sieve pays
-# one such miss per counterexample.  On a 2-core x86 VM (Python 3.11) the
+# exists miss near lo, the same walk.  On a 2-core x86 VM (Python 3.11) the
 # slowest term list, 1*tri+1*tri+1*tri, took 0.5 s to count and 2.0 s to
 # list every witness at n = 10^6, and 2.0 s and 8.5 s at n = 4*10^6; the
-# control's exists miss at 999999 took 36 to 59 ms.
+# control's exists miss at 999999 took 40 to 44 ms.
 MAX_ENUMERATED_N = 10**6
 
 
@@ -397,25 +398,33 @@ def witnesses(spec: FormSpec, n: int, limit: int) -> WitnessList:
 def exists_constrained_two_squares_triangular(n: int) -> bool:
     """True iff n = t_i + x^2 + y^2 with x, y of opposite parity or x = y > 0.
 
-    Plain two-squares-plus-triangular with the witness constrained; only the
-    pairs 0 <= x <= y need scanning since the constraint is symmetric.
-    Fails exactly at n = 0 among the naturals checked in the catalogs.
+    Plain two-squares-plus-triangular with the witness constrained.  The
+    constraint is one of the remainder r = n - t_i's parity: x^2 + y^2 is odd
+    exactly when x and y have opposite parity, and an even r is allowed only
+    as 2x^2 with x > 0.  Fails exactly at n = 0 among the naturals checked
+    in the catalogs.
     """
     _check_natural(n, "n")
-    # first pass, top-first as in exists: for each t only the largest y,
-    # then every pair
-    for t in _values(Term(1, "tri"), n):
-        rem = n - t
-        y = isqrt(rem)
-        xx = rem - y * y
-        x = isqrt(xx)
-        if x * x == xx and ((x ^ y) & 1 == 1 or (x == y and x > 0)):
-            return True
-    for t in _values(Term(1, "tri"), n):
-        rem = n - t
-        for x in range(isqrt(rem // 2) + 1):  # 2x^2 <= rem
-            yy = rem - x * x
-            y = isqrt(yy)
-            if y * y == yy and ((x ^ y) & 1 == 1 or (x == y and x > 0)):
+    # first pass, top-first as in exists: t from the top down, an odd r tried
+    # with its largest square only, an even r settled exactly as 2x^2
+    tri = Term(1, "tri")
+    for i in range(_top_index(tri, n), -1, -1):
+        r = n - _value(tri, i)
+        if r & 1:
+            y = isqrt(r)
+            x = isqrt(r - y * y)
+            if x * x == r - y * y:
                 return True
+        elif r:
+            x = isqrt(r // 2)
+            if 2 * x * x == r:
+                return True
+    # then every x <= y for the odd r, so the answer stays exact
+    for t in _values(tri, n):
+        r = n - t
+        if r & 1:
+            for x in range(isqrt(r // 2) + 1):  # 2x^2 <= r
+                y = isqrt(r - x * x)
+                if y * y == r - x * x:
+                    return True
     return False

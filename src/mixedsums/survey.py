@@ -13,25 +13,28 @@ other entry is oracle-only.  Each entry carries a status tag:
 for complete statements that are merely re-checked here, and "empirical"
 for coefficient lists whose scan is evidence, not proof.
 
-One price list, measured and commented below, estimates what a unit costs
-from its mode, its width and its bounds.  An oracle range is sieved (see
-`_sieves`) when its upper bound is at most MAX_WINDOW_HI and the estimate
-prices one window below judging each n; a sieved scan runs as one unit per
-entry, any other scan in fixed-size chunks (default 2^14 values), one unit
-each.  A process pool of at most `jobs` workers is started only when the
-estimated work, spread over the workers, saves more than the pool costs to
-start and feed; otherwise every unit runs in this process.  Unit results
-are merged in index order, which keeps reports byte-for-byte identical
-whatever the worker count.
+Each scan unit is planned once, with its path: "constructive" (decompose,
+then re-verify the certificate), "pointwise" (the oracle judges each n) or
+"sieved" (every verdict is read off one sumset window).  `_path` decides it
+and `_price` estimates the unit's seconds from its path and bounds alone,
+from the price list measured and commented below.  An oracle range is
+sieved when its upper bound is at most MAX_WINDOW_HI and the window prices
+below judging each n; the negative control is always one sieved window.  A
+scan whose every entry sieves the whole range runs as one unit per entry,
+any other in fixed-size chunks (default 2^14 values), one unit each.  A
+process pool of at most `jobs` workers is started only when the priced
+work, spread over the workers, saves more than the pool costs to start and
+feed; otherwise every unit runs in this process.  Unit results are merged
+in unit order, which keeps reports byte-for-byte identical whatever the
+worker count.
 
-A sieved scan runs its term-list units ordered, stably, by the pair of
-slots their window sums first (the predicate keeps its place), so that the
-oracle's one kept pair serves every entry that shares it; the pair is
-dropped when the scan ends, and results go back in unit order.
+The units run sorted, stably, by the pair of slots a sieved term list's
+window sums first, so that the oracle's one kept pair serves every entry
+that shares it; the pair is dropped when the scan ends.
 
-A unit reads every in-domain verdict first, then judges them.  Constructive
-units, and oracle units left pointwise, read each verdict pointwise.  A
-sieved unit reads them off one sumset bitset of its whole range, and the
+A unit reads every in-domain verdict first, then judges them.  A
+constructive or pointwise unit reads each verdict pointwise.  A sieved
+unit reads them off one sumset bitset of its whole range, and the
 pointwise oracle then judges the first in-domain n of every 2^14-value
 block and the unit's first counterexample.  With two or more
 counterexamples, a term-list window is compared once, bit for bit, with the
@@ -41,8 +44,7 @@ second window and judges each of its counterexamples pointwise.  The
 rebracketed window never reads the kept pair, so it checks a shared pair as
 independently as a fresh one.  Any disagreement raises AssertionError.  The
 negative control refuses hi above `oracle.MAX_ENUMERATED_N`: its first
-counterexample is an O(lo) `exists` miss, and a range left pointwise pays
-one such miss per counterexample.
+counterexample is an O(lo) `exists` miss.
 """
 
 from __future__ import annotations
@@ -75,33 +77,30 @@ DEFAULT_CHUNK = 1 << 14
 # one "0"/"1" byte per value, whose copies dominate its memory: its peak RSS
 # grew by 19, 36, 77 and 145 MB for [0, hi] at hi = 2^23, 2^24, 2^25 and 2^26
 # (about 2.3 bytes per value; 1*sq+1*sq+1*tri on a 2-core x86 VM, Python
-# 3.11).  So an oracle range is sieved only while hi <= MAX_WINDOW_HI, about
-# 145 MB per worker, and then only where _oracle_prices prices the window
-# below judging each n.
+# 3.11).  So a catalog range is sieved only while hi <= MAX_WINDOW_HI, about
+# 145 MB per worker, and then only where _price prices the window below
+# judging each n.  The negative control, capped at MAX_ENUMERATED_N, always
+# sieves.
 MAX_WINDOW_HI = 1 << 26
 
-# The estimated cost of a unit, in seconds; see _unit_cost.  Measured on a
+# The estimated cost of a unit, in seconds; see _price.  Measured on a
 # 2-core x86 VM, Python 3.11.  A constructive value n costs 15 us plus
 # 0.6 us * n^(1/4): 15, 19, 25, 32, 59 and 135 us at n = 0, 1e4, 1e5, 9e5,
 # 1e7 and 1e9 (the five forms, 256 values each).  An exists hit near n,
 # found top-first, costs 1.1 to 1.8 us * n^(1/4) averaged over the catalog's
 # in-domain values (16 us at 1.65e4, 47 us at 1e6, 0.11 ms at 1e8, 0.38 ms
-# at 1e10), and an exists miss about 0.05 us * n (0.04 to 0.09 us * n over
-# five runs of the control's misses near 1e4, 1e5 and 1e6; 36 to 59 ms at
-# 1e6, nearly all of it in the walk's set probes).  A window up to hi, its
-# pair a + b built afresh, costs 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75:
-# sqrt(hi) shift-ORs of hi-bit integers, each dearer per bit once they
-# outgrow the caches.  That is within a third of the median sieve from
-# 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms and 60 ms at 1.65e4, 1e5 and 1e6 over the
-# catalog; 0.7 to 2.0 s, 9.4 to 15 s and 24 to 37 s at 4.2e6, 1.7e7 and
-# 3.4e7 over a sample of entries).
+# at 1e10).  A window up to hi, its pair a + b built afresh, costs
+# 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75: sqrt(hi) shift-ORs of hi-bit
+# integers, each dearer per bit once they outgrow the caches.  That is
+# within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms
+# and 60 ms at 1.65e4, 1e5 and 1e6 over the catalog; 0.7 to 2.0 s, 9.4 to
+# 15 s and 24 to 37 s at 4.2e6, 1.7e7 and 3.4e7 over a sample of entries).
 # A window whose pair the scan built for the entry before it costs less, so
 # the window price is an upper bound.  Reading a window's marks costs 0.06
 # to 0.09 us per value.
 CONSTRUCTIVE_S = 15e-6
 CONSTRUCTIVE_ROOT4_S = 0.6e-6
 EXISTS_HIT_S = 1.5e-6
-EXISTS_MISS_S = 0.05e-6
 WINDOW_ROOT_S = 2.5e-6
 WINDOW_POW_S = 2.5e-12
 MARK_S = 0.09e-6
@@ -233,19 +232,19 @@ def _domain_values(domain: str, lo: int, hi: int) -> range:
 
 
 def _judges(
-    entry: CatalogEntry, mode: str
+    entry: CatalogEntry, path: str
 ) -> tuple[
     Callable[[int], bool], Callable[[int, int], int] | None, Callable[[int, int], int] | None
 ]:
     """The entry's pointwise judge (n -> is n represented?), its window for
-    an oracle scan ((lo, hi) -> bitset, bit k set iff lo + k is represented)
+    an oracle path ((lo, hi) -> bitset, bit k set iff lo + k is represented)
     and, for a term list, the rebracketed window that confirms the first.
 
     exists, represent, verify, the windows and the predicate's judge are
     looked up in the module globals when called, so tracing and tests can
     rebind them.
     """
-    if mode == "constructive":
+    if path == "constructive":
         form = entry.form
         return (lambda n: verify(represent(form, n))), None, None
     if entry.predicate is not None:
@@ -262,51 +261,43 @@ def _judges(
     )
 
 
-_Unit = tuple[CatalogEntry, str, int, int]  # (entry, mode, lo, hi): a whole scan or one chunk
+_Unit = tuple[CatalogEntry, str, int, int]  # (entry, path, lo, hi): a whole scan or one chunk
 
 
-def _oracle_prices(entry: CatalogEntry, lo: int, hi: int) -> tuple[float, float]:
-    """Estimated seconds for an oracle unit [lo, hi]: sieved (a window, its
-    marks and an exists hit per block) and pointwise (an exists hit per n).
-
-    Both paths judge the control's first counterexample with an O(n) exists
-    miss, but only the pointwise one pays such a miss for every later one,
-    and the 4^k(8l+7) it expects are a sixth of all n.
-    """
+def _price(path: str, lo: int, hi: int) -> float:
+    """Estimated seconds for a unit [lo, hi] on this path, from the constants
+    above: a value decomposed and verified, or an exists hit, per n; or a
+    window, its marks and an exists hit per block."""
     width = hi - lo + 1
+    if path == "constructive":
+        return width * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT4_S * hi**0.25)
     hit = EXISTS_HIT_S * hi**0.25
-    blocks = -(-width // DEFAULT_CHUNK)
+    if path == "pointwise":
+        return width * hit
     window = WINDOW_ROOT_S * math.sqrt(hi) + WINDOW_POW_S * hi**1.75
-    later_misses = max(width // 6 - 1, 0) if entry is _CONTROL else 0
-    sieved = blocks * hit + window + MARK_S * width
-    return sieved, width * hit + later_misses * EXISTS_MISS_S * hi
+    return -(-width // DEFAULT_CHUNK) * hit + window + MARK_S * width
 
 
-def _sieves(entry: CatalogEntry, lo: int, hi: int) -> bool:
-    """Whether an oracle scan of entry over [lo, hi] is read off a window:
-    only up to MAX_WINDOW_HI, and only where the window is the cheaper
-    estimate."""
-    sieved, pointwise = _oracle_prices(entry, lo, hi)
-    return hi <= MAX_WINDOW_HI and sieved < pointwise
-
-
-def _unit_cost(unit: _Unit) -> float:
-    """Estimated seconds for _scan_unit(unit), from the constants above."""
-    entry, mode, lo, hi = unit
+def _path(entry: CatalogEntry, mode: str, lo: int, hi: int) -> str:
+    """How a unit of entry over [lo, hi] is scanned.  An oracle unit is read
+    off a window when it is the control, or when hi <= MAX_WINDOW_HI and the
+    window is the cheaper price; otherwise it is judged pointwise."""
     if mode == "constructive":
-        return (hi - lo + 1) * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT4_S * hi**0.25)
-    sieved, pointwise = _oracle_prices(entry, lo, hi)
-    return sieved if _sieves(entry, lo, hi) else pointwise
+        return mode
+    if entry is _CONTROL or (
+        hi <= MAX_WINDOW_HI and _price("sieved", lo, hi) < _price("pointwise", lo, hi)
+    ):
+        return "sieved"
+    return "pointwise"
 
 
 def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
-    entry, mode, lo, hi = unit
+    entry, path, lo, hi = unit
     t0 = time.perf_counter()
-    check, window, rebracketed = _judges(entry, mode)
+    check, window, rebracketed = _judges(entry, path)
     ns = _domain_values(entry.domain, lo, hi)
     width = hi - lo + 1
-    if window is None or not _sieves(entry, lo, hi):
-        # a constructive unit, or an oracle one too narrow to sieve
+    if path != "sieved":
         bad = [n for n in ns if not check(n)]
     else:
         # read every verdict off the window's "0"/"1" marks, indexed by n - lo
@@ -359,21 +350,17 @@ def _plan_workers(jobs: int, units: Sequence[_Unit]) -> int:
     workers = _pool_size(jobs, len(units))
     if workers < 2:
         return 1
-    costs = [_unit_cost(u) for u in units]
+    costs = [_price(path, lo, hi) for _, path, lo, hi in units]
     here = sum(costs)
     pooled = POOL_START_S + POOL_UNIT_S * len(units) + max(here / workers, max(costs))
     return workers if pooled < here else 1
 
 
-def _pair_order(units: Sequence[_Unit]) -> list[int]:
-    """The order to run a sieved scan's units in: the term lists sorted,
-    stably, by the pair their window sums first, so that each shared pair is
-    built once; the predicate keeps its place."""
-    lists = [i for i, (entry, *_) in enumerate(units) if entry.predicate is None]
-    order = list(range(len(units)))
-    for i, j in zip(lists, sorted(lists, key=lambda i: _by_density(units[i][0].spec)[:2])):
-        order[i] = j
-    return order
+def _shared_pair(unit: _Unit) -> list:
+    """The pair of slots a sieved term list's window sums first, which the
+    oracle keeps for the next window; [] for any other unit."""
+    entry, path, _, _ = unit
+    return _by_density(entry.spec)[:2] if path == "sieved" and entry.predicate is None else []
 
 
 def _run_scans(
@@ -382,12 +369,13 @@ def _run_scans(
     check_range(lo, hi)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    # a sieved oracle scan is one unit per entry, any other one unit per chunk
-    sieved = mode == "oracle" and all(_sieves(e, lo, hi) for e in entries)
-    size = hi - lo + 1 if sieved else DEFAULT_CHUNK
+    # a scan whose every entry sieves the whole range is one unit per entry,
+    # any other one unit per chunk
+    whole = all(_path(e, mode, lo, hi) == "sieved" for e in entries)
+    size = hi - lo + 1 if whole else DEFAULT_CHUNK
     chunks = [(c, min(c + size - 1, hi)) for c in range(lo, hi + 1, size)]
-    units = [(entry, mode, clo, chi) for entry in entries for clo, chi in chunks]
-    order = _pair_order(units) if sieved else list(range(len(units)))
+    units = [(e, _path(e, mode, clo, chi), clo, chi) for e in entries for clo, chi in chunks]
+    run = sorted(units, key=_shared_pair)  # so that each shared pair is built once
     workers = _plan_workers(jobs, units)
     try:
         if workers > 1:
@@ -396,16 +384,15 @@ def _run_scans(
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                ran = list(pool.map(_scan_unit, [units[i] for i in order]))
+                ran = dict(zip(run, pool.map(_scan_unit, run)))
         else:
-            ran = [_scan_unit(units[i]) for i in order]
+            ran = {unit: _scan_unit(unit) for unit in run}
     finally:
         forget_pair()
-    results = [row for _, row in sorted(zip(order, ran))]  # back in unit order
     reports = []
     per = len(chunks)
     for i, entry in enumerate(entries):
-        rows = results[i * per : (i + 1) * per]
+        rows = [ran[unit] for unit in units[i * per : (i + 1) * per]]
         bad = tuple(n for row in rows for n in row[1])
         wall = int(round(sum(row[2] for row in rows)))
         reports.append(
@@ -452,10 +439,8 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     The form x^2 + y^2 + z^2 misses exactly the numbers 4^k(8l+7); finding
     precisely those as counterexamples shows the oracle cannot pass
     vacuously.  A disagreement with the independent classifier raises.
-    The scan is one unit under the cap (a range left pointwise spans fewer
-    than 12 values up to hi = 5*10^5, and fewer than 18 up to 10^6).  Its
-    first counterexample is an O(lo) exists miss, and so is every
-    counterexample of a range left pointwise, so hi may not exceed
+    The scan is always one sieved window, however narrow.  Its first
+    counterexample is an O(lo) exists miss, so hi may not exceed
     MAX_ENUMERATED_N.
     """
     if hi > MAX_ENUMERATED_N:

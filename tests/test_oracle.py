@@ -251,9 +251,35 @@ def test_constructive_certificates_appear_in_enumeration():
 
 
 def test_constrained_predicate_matches_naive():
-    for n in range(0, 120):
+    for n in range(0, 3001):
         got = exists_constrained_two_squares_triangular(n)
         assert got == constrained_two_squares_tri(n), n
+
+
+# the n <= 300 that the predicate's first pass misses, so its exact walk
+# (the only caller of oracle._values there) must answer them
+PREDICATE_PASS_MISSES = [69, 132, 204, 279, 300]
+
+
+def test_predicate_walk_answers_what_the_first_pass_misses(monkeypatch):
+    values = oracle._values
+    walked = []
+    monkeypatch.setattr(oracle, "_values", lambda term, n: walked.append(n) or values(term, n))
+    assert [n for n in range(1, 301) if exists_constrained_two_squares_triangular(n)] == list(
+        range(1, 301)
+    )
+    assert walked == PREDICATE_PASS_MISSES
+
+
+def test_predicate_near_2_to_61_answers_in_its_first_pass(monkeypatch):
+    # n = t_(2^31): the remainders left by the largest triangular numbers
+    # are small, and one of them is 2x^2 or an odd sum of two squares; the
+    # exact walk would try about n pairs
+    def no_walk(term, n):
+        raise AssertionError("the exact walk ran")
+
+    monkeypatch.setattr(oracle, "_values", no_walk)
+    assert exists_constrained_two_squares_triangular(2305843010287435776)
 
 
 def test_constrained_predicate_edges():

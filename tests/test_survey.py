@@ -263,19 +263,6 @@ def test_worker_count_does_not_change_reports(monkeypatch):
     assert started == [2, 5, 2, 5]
 
 
-def test_control_partitioning_keeps_order(monkeypatch):
-    # a negative window bound makes the control pointwise, so it runs in
-    # 32-value chunks
-    monkeypatch.setattr(sv, "DEFAULT_CHUNK", 32)
-    monkeypatch.setattr(sv, "MAX_WINDOW_HI", -1)
-    started = _free_pool(monkeypatch)
-    a = negative_control(0, 300, jobs=1)
-    b = negative_control(0, 300, jobs=3)
-    assert a.counterexamples == b.counterexamples
-    assert list(a.counterexamples) == sorted(a.counterexamples)
-    assert started == [3]
-
-
 def test_small_survey_runs_in_this_process(monkeypatch):
     # 35 sieved 128-value chunks take about 7 ms, less than a pool costs
     base = verify_catalog(None, 16384, 16511, jobs=1)
@@ -304,60 +291,64 @@ def test_wide_oracle_scans_plan_a_pool(monkeypatch, entries, hi, workers):
     # per entry: 35 units of about 5 ms pay for a pool, the control's one
     # unit runs in this process
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
-    assert all(sv._sieves(e, 0, hi) for e in entries)
-    units = [(e, "oracle", 0, hi) for e in entries]
+    assert all(sv._path(e, "oracle", 0, hi) == "sieved" for e in entries)
+    units = [(e, "sieved", 0, hi) for e in entries]
     assert sv._plan_workers(2, units) == workers
 
 
 _LIST = catalog_entries("theorem1_ii")[0]
 
 
-def _priced(entry, lo, hi, sieved):
-    prefix = "control-" if entry is sv._CONTROL else ""
-    return pytest.param(entry, lo, hi, sieved, id=f"{prefix}{lo}-{hi}-{sieved}")
-
-
 @pytest.mark.parametrize(
-    "entry, lo, hi, sieved",
+    "lo, hi, sieved",
     [
-        _priced(_LIST, 16384, 16384, False),
-        _priced(_LIST, 16497, 16500, False),
-        _priced(_LIST, 16496, 16500, False),
-        _priced(_LIST, 16477, 16500, True),
-        _priced(_LIST, 999757, 10**6, False),
-        _priced(_LIST, 10**6 - 1723, 10**6, True),
-        _priced(_LIST, 10**9, 10**9 + 1, False),
-        _priced(sv._CONTROL, 10**6 - 16, 10**6, False),
-        _priced(sv._CONTROL, 10**6 - 17, 10**6, True),
-        _priced(sv._CONTROL, 999757, 10**6, True),
+        pytest.param(lo, hi, sieved, id=f"{lo}-{hi}-{sieved}")
+        for lo, hi, sieved in [
+            (16384, 16384, False),
+            (16497, 16500, False),
+            (16496, 16500, False),
+            (16477, 16500, True),
+            (999757, 10**6, False),
+            (10**6 - 1723, 10**6, True),
+            (10**9, 10**9 + 1, False),
+        ]
     ],
 )
-def test_sieve_choice_is_the_cheaper_estimate(entry, lo, hi, sieved):
+def test_sieve_choice_is_the_cheaper_estimate(lo, hi, sieved):
     # sieved: the window, its marks and one exists hit per block; pointwise:
-    # one exists hit per value and, for the control, an exists miss for each
-    # expected counterexample after the first.  The unit costs the price of
-    # its path
+    # one exists hit per value.  A catalog entry takes the cheaper path
     width = hi - lo + 1
     hit = sv.EXISTS_HIT_S * hi**0.25
     window = sv.WINDOW_ROOT_S * math.sqrt(hi) + sv.WINDOW_POW_S * hi**1.75
-    misses = max(width // 6 - 1, 0) if entry is sv._CONTROL else 0
-    prices = (
-        -(-width // sv.DEFAULT_CHUNK) * hit + window + sv.MARK_S * width,
-        width * hit + misses * sv.EXISTS_MISS_S * hi,
-    )
-    assert sv._oracle_prices(entry, lo, hi) == pytest.approx(prices)
-    assert sv._sieves(entry, lo, hi) == sieved == (prices[0] < prices[1])
-    unit = (entry, "oracle", lo, hi)
-    assert sv._unit_cost(unit) == pytest.approx(prices[0] if sieved else prices[1])
+    prices = (-(-width // sv.DEFAULT_CHUNK) * hit + window + sv.MARK_S * width, width * hit)
+    assert (sv._price("sieved", lo, hi), sv._price("pointwise", lo, hi)) == pytest.approx(prices)
+    path = "sieved" if sieved else "pointwise"
+    assert sv._path(_LIST, "oracle", lo, hi) == path
+    assert sieved == (prices[0] < prices[1])
+
+
+@pytest.mark.parametrize("bound", [sv.MAX_WINDOW_HI, -1], ids=["bounded", "no-window"])
+def test_control_always_sieves(monkeypatch, bound):
+    # however narrow the range and whatever the window bound, the control is
+    # one window: one value, the 17 values up to the cap, the cap alone
+    monkeypatch.setattr(sv, "MAX_WINDOW_HI", bound)
+    calls = _count_calls(monkeypatch, "representable_window")
+    ranges = [(8300, 8300), (999984, 10**6), (10**6, 10**6)]
+    for lo, hi in ranges:
+        assert sv._path(sv._CONTROL, "oracle", lo, hi) == "sieved"
+        assert sv._path(_LIST, "oracle", lo, hi) == "pointwise"
+        r = negative_control(lo, hi)
+        assert r.counterexamples == ((999991, 999996, 999999) if lo == 999984 else ())
+    assert calls == [(sv._CONTROL.spec, lo, hi) for lo, hi in ranges]
 
 
 def test_sieved_unit_marks_are_bounded():
     # a unit's window never holds marks past 2^26, however cheap the model
     # prices it
-    assert sv._sieves(_LIST, 0, 1 << 26)
-    assert not sv._sieves(_LIST, 0, (1 << 26) + 1)
-    sieved, pointwise = sv._oracle_prices(_LIST, 0, (1 << 26) + 1)
-    assert sieved < pointwise
+    assert sv._path(_LIST, "oracle", 0, 1 << 26) == "sieved"
+    assert sv._path(_LIST, "oracle", 0, (1 << 26) + 1) == "pointwise"
+    hi = (1 << 26) + 1
+    assert sv._price("sieved", 0, hi) < sv._price("pointwise", 0, hi)
 
 
 def test_pool_size_is_bounded(monkeypatch):
@@ -374,20 +365,16 @@ def test_pool_size_is_bounded(monkeypatch):
     assert _pool_size(10**9, 10**6) == 1
 
 
-def _scan_all(lo, hi):
-    return _strip_wall([*verify_catalog(None, lo, hi), negative_control(lo, hi)])
-
-
 @pytest.mark.parametrize("lo, hi", [(0, 1200), (601, 1600)])
 def test_pointwise_scan_equals_sieved_scan(monkeypatch, lo, hi):
     # one wide sieved chunk (the defaults) against 64-value chunks that a
     # negative window bound makes pointwise; an odd lo moves every domain's
     # chunk edges
-    sieved = _scan_all(lo, hi)
+    sieved = _strip_wall(verify_catalog(None, lo, hi))
     monkeypatch.setattr(sv, "DEFAULT_CHUNK", 64)
     monkeypatch.setattr(sv, "MAX_WINDOW_HI", -1)
     monkeypatch.setattr(sv, "representable_window", _no_sieve)
-    assert _scan_all(lo, hi) == sieved
+    assert _strip_wall(verify_catalog(None, lo, hi)) == sieved
 
 
 # ── sieve path and pointwise judge ─────────────────────────────────────────
@@ -609,11 +596,14 @@ def test_no_pair_outlives_a_scan(monkeypatch):
 
 
 def test_one_value_survey_near_2_to_61_finishes():
-    # n = t_(2^31): a one-value scan is judged pointwise, where a hit walked
-    # about sqrt(n) middle values before exists tried the top one first
+    # n = t_(2^31), even: a one-value scan is judged pointwise, and every
+    # judge must answer in its top-first pass, since an exact walk there
+    # would try about n pairs
     n = 2305843010287435776
-    reports = verify_catalog("theorem1_ii", n, n)
-    assert [(r.verified_count, r.counterexamples) for r in reports] == [(1, ())] * 10
+    reports = verify_catalog(None, n, n)
+    assert [(r.verified_count, r.counterexamples) for r in reports] == [
+        (r.entry.domain != "positive_odd", ()) for r in reports
+    ]
 
 
 def test_block_first_n_is_judged(monkeypatch):
