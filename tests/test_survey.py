@@ -299,32 +299,40 @@ def test_wide_oracle_scans_plan_a_pool(monkeypatch, entries, hi, workers):
 _LIST = catalog_entries("theorem1_ii")[0]
 
 
+def _priced(entry, lo, hi, sieved):
+    prefix = "control-" if entry is sv._CONTROL else ""
+    return pytest.param(entry, lo, hi, sieved, id=f"{prefix}{lo}-{hi}-{sieved}")
+
+
 @pytest.mark.parametrize(
-    "lo, hi, sieved",
+    "entry, lo, hi, sieved",
     [
-        pytest.param(lo, hi, sieved, id=f"{lo}-{hi}-{sieved}")
-        for lo, hi, sieved in [
-            (16384, 16384, False),
-            (16497, 16500, False),
-            (16496, 16500, False),
-            (16477, 16500, True),
-            (999757, 10**6, False),
-            (10**6 - 1723, 10**6, True),
-            (10**9, 10**9 + 1, False),
-        ]
+        _priced(_LIST, 16384, 16384, False),
+        _priced(_LIST, 16497, 16500, False),
+        _priced(_LIST, 16496, 16500, False),
+        _priced(_LIST, 16477, 16500, True),
+        _priced(_LIST, 999757, 10**6, False),
+        _priced(_LIST, 10**6 - 1723, 10**6, True),
+        _priced(_LIST, 10**9, 10**9 + 1, False),
+        _priced(sv._CONTROL, 10**6 - 17, 10**6, True),
+        _priced(sv._CONTROL, 999757, 10**6, True),
     ],
 )
-def test_sieve_choice_is_the_cheaper_estimate(lo, hi, sieved):
+def test_sieve_choice_is_the_cheaper_estimate(entry, lo, hi, sieved):
     # sieved: the window, its marks and one exists hit per block; pointwise:
-    # one exists hit per value.  A catalog entry takes the cheaper path
+    # one exists hit per value.  A catalog entry takes the cheaper path; the
+    # control sieves even where pointwise is priced cheaper
     width = hi - lo + 1
     hit = sv.EXISTS_HIT_S * hi**0.25
     window = sv.WINDOW_ROOT_S * math.sqrt(hi) + sv.WINDOW_POW_S * hi**1.75
     prices = (-(-width // sv.DEFAULT_CHUNK) * hit + window + sv.MARK_S * width, width * hit)
     assert (sv._price("sieved", lo, hi), sv._price("pointwise", lo, hi)) == pytest.approx(prices)
     path = "sieved" if sieved else "pointwise"
-    assert sv._path(_LIST, "oracle", lo, hi) == path
-    assert sieved == (prices[0] < prices[1])
+    assert sv._path(entry, "oracle", lo, hi) == path
+    if entry is sv._CONTROL:
+        assert prices[0] > prices[1]
+    else:
+        assert sieved == (prices[0] < prices[1])
 
 
 @pytest.mark.parametrize("bound", [sv.MAX_WINDOW_HI, -1], ids=["bounded", "no-window"])
