@@ -7,7 +7,8 @@ machine formats that are byte-identical across runs and worker counts, so
 wall_ms is reported as 0 there (human output shows the measured value).
 
 Exit codes: 0 success, 1 a mathematical counterexample was found, 2 usage
-or input error.
+or input error, 3 an internal fault (a failed cross-check, which raises
+AssertionError, or any other unexpected error), printed as a traceback.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from typing import Iterable, Sequence
 
 from .forms import FORM_NAMES, FORM_TERMS, Certificate, MixedForm, represent, verify
 from .oracle import count, spec_of, witnesses
 from .survey import (
     SOURCES,
-    ControlMismatchError,
     RangeReport,
     negative_control,
     verify_catalog,
@@ -145,9 +146,7 @@ def _cmd_represent(args: argparse.Namespace) -> int:
     form = MixedForm(args.form)
     cert = represent(form, args.n)
     if args.verify and not verify(cert):
-        print(f"error: certificate for {form.value} n={args.n} failed re-verification",
-              file=sys.stderr)
-        return 1
+        raise AssertionError(f"certificate for {form.value} n={args.n} failed re-verification")
     row = [form.value, cert.n, cert.x, cert.y, cert.z]
     line = f"{form.value}: {cert.n} = {_witness_line(cert)}"
     _emit(args.fmt, cert.to_json(), ["form", "n", "x", "y", "z"], [row], [line])
@@ -250,13 +249,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ControlMismatchError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except (ValueError, OverflowError) as e:
         # covers unknown forms, parse failures, bad bounds and width errors
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception:
+        # a failed internal check or a broken pool: never a counterexample
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

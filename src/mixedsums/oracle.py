@@ -134,9 +134,7 @@ def check_range(lo: int, hi: int) -> None:
 
 
 def _top_index(term: Term, budget: int) -> int:
-    """The largest i >= 0 with c*i^2 (or c*t_i) <= budget; -1 if budget < 0."""
-    if budget < 0:
-        return -1
+    """The largest i >= 0 with c*i^2 (or c*t_i) <= budget, for budget >= 0."""
     q = budget // term.coeff
     return isqrt(q) if term.kind == "sq" else (isqrt(8 * q + 1) - 1) // 2
 

@@ -53,6 +53,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 from .arith import is_three_square_feasible
@@ -135,14 +136,13 @@ class CatalogEntry:
     def __post_init__(self) -> None:
         if self.domain not in DOMAINS:
             raise ValueError(f"unknown domain {self.domain!r}")
-        if self.predicate is None:
-            spec_of(self.name)  # raises unless the name is a form or a term list
+        self.spec  # parsed once here: raises unless the name is a form or a term list
 
     @property
     def entry_id(self) -> str:
         return f"{self.source}:{self.name}"
 
-    @property
+    @cached_property
     def form(self) -> MixedForm | None:
         """The named form, the only kind of entry with a constructive scan."""
         try:
@@ -154,9 +154,9 @@ class CatalogEntry:
     def predicate(self) -> str | None:
         return self.name if self.name == _PREDICATE else None
 
-    @property
+    @cached_property
     def spec(self) -> FormSpec | None:
-        """The entry's term list (parsed on each read); None for a predicate."""
+        """The entry's term list (parsed on first read); None for a predicate."""
         return None if self.predicate is not None else spec_of(self.name)
 
 
@@ -429,16 +429,13 @@ def verify_catalog(
     return _run_scans(catalog_entries(source_filter), "oracle", lo, hi, jobs)
 
 
-class ControlMismatchError(RuntimeError):
-    """The oracle and the three-square classifier disagreed on the control."""
-
-
 def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     """Scan plain three squares and demand the classical exclusion set.
 
     The form x^2 + y^2 + z^2 misses exactly the numbers 4^k(8l+7); finding
     precisely those as counterexamples shows the oracle cannot pass
-    vacuously.  A disagreement with the independent classifier raises.
+    vacuously.  A disagreement with the independent classifier raises
+    AssertionError, as every failed internal check does, under python -O too.
     The scan is always one sieved window, however narrow.  Its first
     counterexample is an O(lo) exists miss, so hi may not exceed
     MAX_ENUMERATED_N.
@@ -450,7 +447,7 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     report = _run_scans([_CONTROL], "oracle", lo, hi, jobs)[0]
     expected = tuple(m for m in range(lo, hi + 1) if not is_three_square_feasible(m))
     if report.counterexamples != expected:
-        raise ControlMismatchError(
+        raise AssertionError(
             f"control scan found {report.counterexamples} but the classifier"
             f" excludes {expected} on [{lo}, {hi}]"
         )

@@ -4,10 +4,14 @@ import json
 
 import pytest
 
+import mixedsums.cli as cli
+import mixedsums.survey as sv
 from mixedsums.cli import main
 from mixedsums.forms import Certificate, MixedForm
 from mixedsums.oracle import MAX_ENUMERATED_N, spec_of
 from mixedsums.survey import CATALOG
+
+from test_survey import _free_pool
 
 
 def run(capsys, *argv):
@@ -282,3 +286,24 @@ def test_exit_codes_never_conflated(capsys):
     counterexample, _, _ = run(capsys, "negative-control", "0", "10")
     usage, _, _ = run(capsys, "count", "1*sq+", "5")
     assert (ok, counterexample, usage) == (0, 1, 2)
+    # a failed internal check exits 3, never 1, whether this process or a
+    # pool worker raised it
+    faults = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = sv.representable_window
+        mp.setattr(sv, "representable_window", lambda spec, lo, hi: real(spec, lo, hi) ^ 1 << 250)
+        faults.append((run(capsys, "verify-range", "0", "500", "--mode", "oracle"), "n=250"))
+        started = _free_pool(mp)
+        faults.append((run(capsys, "survey", "0", "40000", "--jobs", "2"), "n=250"))
+    assert started == [2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sv, "is_three_square_feasible", lambda m: True)
+        faults.append((run(capsys, "negative-control", "0", "20"), "control scan found"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "verify", lambda cert: False)
+        faults.append(
+            (run(capsys, "represent", "x2+3y2+t", "5", "--verify"), "failed re-verification")
+        )
+    for (code, out, err), message in faults:
+        assert (code, out) == (3, "")
+        assert "AssertionError" in err and message in err

@@ -20,7 +20,6 @@ from mixedsums.survey import (
     CATALOG,
     SOURCES,
     CatalogEntry,
-    ControlMismatchError,
     catalog_entries,
     negative_control,
     verify_catalog,
@@ -655,5 +654,25 @@ def test_negative_control_accounting():
 
 def test_control_mismatch_is_loud(monkeypatch):
     monkeypatch.setattr(sv, "is_three_square_feasible", lambda m: True)
-    with pytest.raises(ControlMismatchError):
+    with pytest.raises(AssertionError, match="control scan found"):
         negative_control(0, 20)
+
+
+_CONTROL_MISMATCH = """
+import json, sys
+import mixedsums.survey as sv
+
+sv.is_three_square_feasible = lambda m: True
+try:
+    sv.negative_control(0, 20)
+    outcome = "returned"
+except AssertionError as exc:
+    outcome = str(exc)
+print(json.dumps({"optimize": sys.flags.optimize, "debug": __debug__, "outcome": outcome}))
+"""
+
+
+def test_control_mismatch_is_loud_under_python_O():
+    out = _run_under_python_O(_CONTROL_MISMATCH)
+    assert out["optimize"] == 1 and out["debug"] is False
+    assert out["outcome"].startswith("control scan found")
