@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,14 +75,14 @@ from .oracle import (
 
 DEFAULT_CHUNK = 1 << 14
 
-# A sieved unit builds bitsets of up to hi bits and reads them as a string of
-# one "0"/"1" byte per value, whose copies dominate its memory: its peak RSS
-# grew by 19, 36, 77 and 145 MB for [0, hi] at hi = 2^23, 2^24, 2^25 and 2^26
-# (about 2.3 bytes per value; 1*sq+1*sq+1*tri on a 2-core x86 VM, Python
-# 3.11).  So a catalog range is sieved only while hi <= MAX_WINDOW_HI, about
-# 145 MB per worker, and then only where _price prices the window below
-# judging each n.  The negative control, capped at MAX_ENUMERATED_N, always
-# sieves.
+# A sieved unit holds several bitsets of up to hi bits at once (the pair
+# sumset, the window, shift-OR temporaries and the domain mask): its peak RSS
+# grew by 9.6, 19, 38 and 77 MB for [0, hi] at hi = 2^23, 2^24, 2^25 and 2^26
+# (about 1.15 bytes per value; 1*sq+1*sq+1*tri on a 2-core x86 VM, Python
+# 3.11), and the unit took 151 s at 2^26.  So a catalog range is sieved only
+# while hi <= MAX_WINDOW_HI, about 77 MB per worker, and then only where
+# _price prices the window below judging each n.  The negative control,
+# capped at MAX_ENUMERATED_N, always sieves.
 MAX_WINDOW_HI = 1 << 26
 
 # The estimated cost of a unit, in seconds; see _price.  Measured on a
@@ -97,14 +98,12 @@ MAX_WINDOW_HI = 1 << 26
 # and 60 ms at 1.65e4, 1e5 and 1e6 over the catalog; 0.7 to 2.0 s, 9.4 to
 # 15 s and 24 to 37 s at 4.2e6, 1.7e7 and 3.4e7 over a sample of entries).
 # A window whose pair the scan built for the entry before it costs less, so
-# the window price is an upper bound.  Reading a window's marks costs 0.06
-# to 0.09 us per value.
+# the window price is an upper bound.
 CONSTRUCTIVE_S = 15e-6
 CONSTRUCTIVE_ROOT4_S = 0.6e-6
 EXISTS_HIT_S = 1.5e-6
 WINDOW_ROOT_S = 2.5e-6
 WINDOW_POW_S = 2.5e-12
-MARK_S = 0.09e-6
 
 # A pool of two workers took 13 ms to start and stop in a warm process and
 # about 40 ms in a fresh one, which first imports multiprocessing (30 ms), so
@@ -267,7 +266,7 @@ _Unit = tuple[CatalogEntry, str, int, int]  # (entry, path, lo, hi): a whole sca
 def _price(path: str, lo: int, hi: int) -> float:
     """Estimated seconds for a unit [lo, hi] on this path, from the constants
     above: a value decomposed and verified, or an exists hit, per n; or a
-    window, its marks and an exists hit per block."""
+    window and an exists hit per block."""
     width = hi - lo + 1
     if path == "constructive":
         return width * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT4_S * hi**0.25)
@@ -275,7 +274,7 @@ def _price(path: str, lo: int, hi: int) -> float:
     if path == "pointwise":
         return width * hit
     window = WINDOW_ROOT_S * math.sqrt(hi) + WINDOW_POW_S * hi**1.75
-    return -(-width // DEFAULT_CHUNK) * hit + window + MARK_S * width
+    return -(-width // DEFAULT_CHUNK) * hit + window
 
 
 def _path(entry: CatalogEntry, mode: str, lo: int, hi: int) -> str:
@@ -296,21 +295,23 @@ def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
     t0 = time.perf_counter()
     check, window, rebracketed = _judges(entry, path)
     ns = _domain_values(entry.domain, lo, hi)
-    width = hi - lo + 1
     if path != "sieved":
         bad = [n for n in ns if not check(n)]
     else:
-        # read every verdict off the window's "0"/"1" marks, indexed by n - lo
+        # read every verdict off the window, n at bit n - lo: the mask sets
+        # the bit of every n in ns (len(ns) ones, ns.step apart), and the
+        # counterexamples are the bits it sets that the window leaves clear
         sieve = window(lo, hi)
-        marks = format(sieve, "b").zfill(width)[::-1]
-        bad = [n for n in ns if marks[n - lo] == "0"]
+        mask = ((1 << len(ns) * ns.step) - 1) // ((1 << ns.step) - 1) << (ns.start - lo)
+        holes = mask & ~sieve
+        bad = [lo + m.start() for m in re.finditer("1", format(holes, "b")[::-1])]
         # then judge, each n once and in order: the first n of every block,
         # the first counterexample and, for the predicate, every later one
         blocks = range(lo, hi + 1, DEFAULT_CHUNK)
         firsts = (m for b in blocks for m in _domain_values(entry.domain, b, hi)[:1])
         misses = bad if rebracketed is None else bad[:1]
         for n in sorted({*firsts, *misses}):
-            ok = marks[n - lo] == "1"
+            ok = sieve >> (n - lo) & 1
             if check(n) != ok:
                 raise AssertionError(
                     f"{entry.entry_id}: the sieve says n={n} is"

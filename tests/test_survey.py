@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -282,13 +283,13 @@ def test_wide_constructive_scan_starts_a_pool(monkeypatch):
 
 @pytest.mark.parametrize(
     "entries, hi, workers",
-    [(CATALOG, 40_000, 2), ((sv._CONTROL,), 100_000, 1)],
-    ids=["survey", "control"],
+    [(CATALOG, 40_000, 1), (CATALOG, 262_143, 2), ((sv._CONTROL,), 100_000, 1)],
+    ids=["survey", "wide-survey", "control"],
 )
 def test_wide_oracle_scans_plan_a_pool(monkeypatch, entries, hi, workers):
-    # two scans CI compares at --jobs 1 and 2; each sieves, so it is one unit
-    # per entry: 35 units of about 5 ms pay for a pool, the control's one
-    # unit runs in this process
+    # three scans CI compares at --jobs 1 and 2; each sieves, so it is one
+    # unit per entry: 35 units of about 1 ms cost less than a pool, 35 of
+    # about 9 ms pay for one, and the control's one unit runs in this process
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
     assert all(sv._path(e, "oracle", 0, hi) == "sieved" for e in entries)
     units = [(e, "sieved", 0, hi) for e in entries]
@@ -311,20 +312,21 @@ def _priced(entry, lo, hi, sieved):
         _priced(_LIST, 16496, 16500, False),
         _priced(_LIST, 16477, 16500, True),
         _priced(_LIST, 999757, 10**6, False),
-        _priced(_LIST, 10**6 - 1723, 10**6, True),
+        _priced(_LIST, 10**6 - 1719, 10**6, False),
+        _priced(_LIST, 10**6 - 1720, 10**6, True),
         _priced(_LIST, 10**9, 10**9 + 1, False),
         _priced(sv._CONTROL, 10**6 - 17, 10**6, True),
         _priced(sv._CONTROL, 999757, 10**6, True),
     ],
 )
 def test_sieve_choice_is_the_cheaper_estimate(entry, lo, hi, sieved):
-    # sieved: the window, its marks and one exists hit per block; pointwise:
-    # one exists hit per value.  A catalog entry takes the cheaper path; the
-    # control sieves even where pointwise is priced cheaper
+    # sieved: the window and one exists hit per block; pointwise: one exists
+    # hit per value.  A catalog entry takes the cheaper path; the control
+    # sieves even where pointwise is priced cheaper
     width = hi - lo + 1
     hit = sv.EXISTS_HIT_S * hi**0.25
     window = sv.WINDOW_ROOT_S * math.sqrt(hi) + sv.WINDOW_POW_S * hi**1.75
-    prices = (-(-width // sv.DEFAULT_CHUNK) * hit + window + sv.MARK_S * width, width * hit)
+    prices = (-(-width // sv.DEFAULT_CHUNK) * hit + window, width * hit)
     assert (sv._price("sieved", lo, hi), sv._price("pointwise", lo, hi)) == pytest.approx(prices)
     path = "sieved" if sieved else "pointwise"
     assert sv._path(entry, "oracle", lo, hi) == path
@@ -349,9 +351,9 @@ def test_control_always_sieves(monkeypatch, bound):
     assert calls == [(sv._CONTROL.spec, lo, hi) for lo, hi in ranges]
 
 
-def test_sieved_unit_marks_are_bounded():
-    # a unit's window never holds marks past 2^26, however cheap the model
-    # prices it
+def test_sieved_unit_window_is_bounded():
+    # a unit's window never reaches past 2^26, however cheap the model prices
+    # it
     assert sv._path(_LIST, "oracle", 0, 1 << 26) == "sieved"
     assert sv._path(_LIST, "oracle", 0, (1 << 26) + 1) == "pointwise"
     hi = (1 << 26) + 1
@@ -370,6 +372,23 @@ def test_pool_size_is_bounded(monkeypatch):
     assert _pool_size(10**9, 10**6) == 64
     monkeypatch.setattr(sv.os, "cpu_count", lambda: None)
     assert _pool_size(10**9, 10**6) == 1
+
+
+def test_clean_sieved_unit_keeps_no_per_value_copy():
+    # a clean unit reads its verdicts as bits, so its peak is the window
+    # build's bitsets (about 0.94 bytes per value), with no byte-per-value
+    # copy of the verdicts beside them
+    hi = 1 << 18
+    oracle.forget_pair()
+    tracemalloc.start()
+    try:
+        verified, bad, _ = sv._scan_unit((_LIST, "sieved", 0, hi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        oracle.forget_pair()
+    assert (verified, bad) == (hi + 1, [])
+    assert peak < 1.5 * (hi + 1)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 1200), (601, 1600)])
