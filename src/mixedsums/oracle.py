@@ -19,7 +19,9 @@ down and looks every remainder up in a set of the last slot's values, which
 grows with the remainder: a miss still tries O(n) pairs, at C speed, and
 holds O(sqrt(n)) values.  The parity-constrained predicate judges each
 remainder by its parity, and makes the same kind of first pass: an odd
-remainder tried with its largest square, an even one settled as 2x^2.
+remainder tried with its largest square, an even one settled as 2x^2.  Its
+exact answer is the same walk, over the odd remainders only: an odd
+x^2 + y^2 is (2u)^2 + (2v+1)^2 = 4u^2 + 8t_v + 1.
 
 Range windows (`representable_window`) enumerate the same term values, but
 over a whole range at once: the represented numbers up to hi are the sumset
@@ -27,10 +29,8 @@ of the three slots' value sets, built as Python-integer bitsets with one
 shift-OR per value of the second and third slot.  The pair sumset of the
 first two slots is kept for the next call (one pair, the last built), so a
 scan that runs the term lists sharing a pair one after the other builds it
-once; `forget_pair` drops it.  `rebracketed_window` builds the same sumset
-associated the other way, always from its own pair and never from the kept
-one, so a scan can check one window against the other: a fault in either
-bracketing, or in the pair a scan shares, shows as a difference.
+once; `forget_pair` drops it.  A window shares nothing with `exists`, so a
+scan can judge any of its bits pointwise.
 
 Counting convention: every coordinate ranges over all of Z within its
 evaluation bound.  Sign pairs x, -x of a square index and the index pair
@@ -332,19 +332,6 @@ def representable_window(spec: FormSpec, lo: int, hi: int) -> int:
     return _shifted_union(_last_pair[1], _values(c, hi), lo, hi)
 
 
-def rebracketed_window(spec: FormSpec, lo: int, hi: int) -> int:
-    """`representable_window` bracketed the other way, a + (b + c).
-
-    The two sparser slots are summed first, always afresh, and the sum is
-    shifted by every value of the densest slot, so no intermediate bitset is
-    shared with `representable_window`; the two are equal whenever both are
-    right.
-    """
-    check_range(lo, hi)
-    a, b, c = _by_density(spec)
-    return _shifted_union(_pair_sumset(b, c, hi), _values(a, hi), lo, hi)
-
-
 def constrained_two_squares_triangular_window(lo: int, hi: int) -> int:
     """`exists_constrained_two_squares_triangular` over [lo, hi] as a bitset.
 
@@ -417,12 +404,7 @@ def exists_constrained_two_squares_triangular(n: int) -> bool:
             x = isqrt(r // 2)
             if 2 * x * x == r:
                 return True
-    # then every x <= y for the odd r, so the answer stays exact
-    for t in _values(tri, n):
-        r = n - t
-        if r & 1:
-            for x in range(isqrt(r // 2) + 1):  # 2x^2 <= r
-                y = isqrt(r - x * x)
-                if y * y == r - x * x:
-                    return True
-    return False
+    # then every odd r, so the answer stays exact: r = (2u)^2 + (2v+1)^2
+    # exactly when n - 1 = t_i + 4u^2 + 8t_v
+    c, b, a = _by_density(parse_form_spec("1*tri+4*sq+8*tri"))
+    return n > 0 and _walk(a, b, c, n - 1)

@@ -36,15 +36,11 @@ A unit reads every in-domain verdict first, then judges them.  A
 constructive or pointwise unit reads each verdict pointwise.  A sieved
 unit reads them off one sumset bitset of its whole range, and the
 pointwise oracle then judges the first in-domain n of every 2^14-value
-block and the unit's first counterexample.  With two or more
-counterexamples, a term-list window is compared once, bit for bit, with the
-same sumset bracketed the other way (`rebracketed_window`), so a later
-counterexample costs O(1), not an O(n) `exists` miss; the predicate has no
-second window and judges each of its counterexamples pointwise.  The
-rebracketed window never reads the kept pair, so it checks a shared pair as
-independently as a fresh one.  Any disagreement raises AssertionError.  The
-negative control refuses hi above `oracle.MAX_ENUMERATED_N`: its first
-counterexample is an O(lo) `exists` miss.
+block and every counterexample, each an O(n) miss.  The negative control
+is the one exception: only its first counterexample is judged pointwise,
+since `negative_control` compares every n of its range with an independent
+classifier.  Any disagreement raises AssertionError.  The negative control
+refuses hi above `oracle.MAX_ENUMERATED_N`, which bounds its first miss.
 """
 
 from __future__ import annotations
@@ -68,7 +64,6 @@ from .oracle import (
     exists,
     exists_constrained_two_squares_triangular,
     forget_pair,
-    rebracketed_window,
     representable_window,
     spec_of,
 )
@@ -232,32 +227,25 @@ def _domain_values(domain: str, lo: int, hi: int) -> range:
 
 def _judges(
     entry: CatalogEntry, path: str
-) -> tuple[
-    Callable[[int], bool], Callable[[int, int], int] | None, Callable[[int, int], int] | None
-]:
-    """The entry's pointwise judge (n -> is n represented?), its window for
-    an oracle path ((lo, hi) -> bitset, bit k set iff lo + k is represented)
-    and, for a term list, the rebracketed window that confirms the first.
+) -> tuple[Callable[[int], bool], Callable[[int, int], int] | None]:
+    """The entry's pointwise judge (n -> is n represented?) and its window
+    for an oracle path ((lo, hi) -> bitset, bit k set iff lo + k is
+    represented).
 
-    exists, represent, verify, the windows and the predicate's judge are
-    looked up in the module globals when called, so tracing and tests can
-    rebind them.
+    exists, represent, verify, the window and the predicate's judge and
+    window are looked up in the module globals when called, so tracing and
+    tests can rebind them.
     """
     if path == "constructive":
         form = entry.form
-        return (lambda n: verify(represent(form, n))), None, None
+        return (lambda n: verify(represent(form, n))), None
     if entry.predicate is not None:
         return (
             (lambda n: exists_constrained_two_squares_triangular(n)),
             (lambda lo, hi: constrained_two_squares_triangular_window(lo, hi)),
-            None,
         )
     spec = entry.spec
-    return (
-        (lambda n: exists(spec, n)),
-        (lambda lo, hi: representable_window(spec, lo, hi)),
-        (lambda lo, hi: rebracketed_window(spec, lo, hi)),
-    )
+    return (lambda n: exists(spec, n)), (lambda lo, hi: representable_window(spec, lo, hi))
 
 
 _Unit = tuple[CatalogEntry, str, int, int]  # (entry, path, lo, hi): a whole scan or one chunk
@@ -293,7 +281,7 @@ def _path(entry: CatalogEntry, mode: str, lo: int, hi: int) -> str:
 def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
     entry, path, lo, hi = unit
     t0 = time.perf_counter()
-    check, window, rebracketed = _judges(entry, path)
+    check, window = _judges(entry, path)
     ns = _domain_values(entry.domain, lo, hi)
     if path != "sieved":
         bad = [n for n in ns if not check(n)]
@@ -305,26 +293,18 @@ def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
         mask = ((1 << len(ns) * ns.step) - 1) // ((1 << ns.step) - 1) << (ns.start - lo)
         holes = mask & ~sieve
         bad = [lo + m.start() for m in re.finditer("1", format(holes, "b")[::-1])]
-        # then judge, each n once and in order: the first n of every block,
-        # the first counterexample and, for the predicate, every later one
+        # then judge, each n once and in order: the first n of every block
+        # and every counterexample, but only the control's first one, since
+        # negative_control checks the rest against its classifier
         blocks = range(lo, hi + 1, DEFAULT_CHUNK)
         firsts = (m for b in blocks for m in _domain_values(entry.domain, b, hi)[:1])
-        misses = bad if rebracketed is None else bad[:1]
+        misses = bad[:1] if entry is _CONTROL else bad
         for n in sorted({*firsts, *misses}):
             ok = sieve >> (n - lo) & 1
             if check(n) != ok:
                 raise AssertionError(
                     f"{entry.entry_id}: the sieve says n={n} is"
                     f" {'' if ok else 'not '}represented, the pointwise oracle disagrees"
-                )
-        # a term list's later counterexamples: confirm every bit of the window
-        # once, rather than pay an O(n) exists miss for each
-        if rebracketed is not None and len(bad) > 1:
-            diff = rebracketed(lo, hi) ^ sieve
-            if diff:
-                raise AssertionError(
-                    f"{entry.entry_id}: the sieve and the rebracketed sumset"
-                    f" disagree at n={lo + (diff & -diff).bit_length() - 1}"
                 )
     return len(ns) - len(bad), bad, (time.perf_counter() - t0) * 1000.0
 
@@ -435,11 +415,12 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
 
     The form x^2 + y^2 + z^2 misses exactly the numbers 4^k(8l+7); finding
     precisely those as counterexamples shows the oracle cannot pass
-    vacuously.  A disagreement with the independent classifier raises
-    AssertionError, as every failed internal check does, under python -O too.
-    The scan is always one sieved window, however narrow.  Its first
-    counterexample is an O(lo) exists miss, so hi may not exceed
-    MAX_ENUMERATED_N.
+    vacuously.  Every n of [lo, hi] is compared with the independent
+    classifier, so a wrong bit of the scan's window anywhere is a
+    disagreement, which raises AssertionError, as every failed internal check
+    does, under python -O too.  The scan is always one sieved window, however
+    narrow.  Its first counterexample is an O(lo) exists miss, so hi may not
+    exceed MAX_ENUMERATED_N.
     """
     if hi > MAX_ENUMERATED_N:
         raise ValueError(
@@ -448,8 +429,10 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     report = _run_scans([_CONTROL], "oracle", lo, hi, jobs)[0]
     expected = tuple(m for m in range(lo, hi + 1) if not is_three_square_feasible(m))
     if report.counterexamples != expected:
+        first = min(set(report.counterexamples) ^ set(expected))
         raise AssertionError(
-            f"control scan found {report.counterexamples} but the classifier"
-            f" excludes {expected} on [{lo}, {hi}]"
+            f"control scan found {len(report.counterexamples)} counterexamples but the"
+            f" classifier excludes {len(expected)} on [{lo}, {hi}];"
+            f" first disagreement at n={first}"
         )
     return report

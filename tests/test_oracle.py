@@ -18,7 +18,6 @@ from mixedsums.oracle import (
     exists,
     exists_constrained_two_squares_triangular,
     parse_form_spec,
-    rebracketed_window,
     representable_window,
     spec_of,
     witnesses,
@@ -257,28 +256,28 @@ def test_constrained_predicate_matches_naive():
 
 
 # the n <= 300 that the predicate's first pass misses, so its exact walk
-# (the only caller of oracle._values there) must answer them
+# must answer them; the walk is asked for n - 1 = t_i + 4u^2 + 8t_v
 PREDICATE_PASS_MISSES = [69, 132, 204, 279, 300]
 
 
 def test_predicate_walk_answers_what_the_first_pass_misses(monkeypatch):
-    values = oracle._values
+    walk = oracle._walk
     walked = []
-    monkeypatch.setattr(oracle, "_values", lambda term, n: walked.append(n) or values(term, n))
+    monkeypatch.setattr(oracle, "_walk", lambda *args: walked.append(args[-1]) or walk(*args))
     assert [n for n in range(1, 301) if exists_constrained_two_squares_triangular(n)] == list(
         range(1, 301)
     )
-    assert walked == PREDICATE_PASS_MISSES
+    assert walked == [n - 1 for n in PREDICATE_PASS_MISSES]  # [68, 131, 203, 278, 299]
 
 
 def test_predicate_near_2_to_61_answers_in_its_first_pass(monkeypatch):
     # n = t_(2^31): the remainders left by the largest triangular numbers
     # are small, and one of them is 2x^2 or an odd sum of two squares; the
     # exact walk would try about n pairs
-    def no_walk(term, n):
+    def no_walk(*args):
         raise AssertionError("the exact walk ran")
 
-    monkeypatch.setattr(oracle, "_values", no_walk)
+    monkeypatch.setattr(oracle, "_walk", no_walk)
     assert exists_constrained_two_squares_triangular(2305843010287435776)
 
 
@@ -300,7 +299,6 @@ def test_window_matches_exists_on_prefix(spec):
     window = representable_window(spec, 0, 2000)
     flags = window_flags(window, 0, 2000)
     assert flags == [exists(spec, n) for n in range(2001)]
-    assert rebracketed_window(spec, 0, 2000) == window
 
 
 @settings(max_examples=60, deadline=None)
@@ -314,7 +312,6 @@ def test_window_matches_exists_anywhere(spec, lo, width):
     window = representable_window(spec, lo, hi)
     flags = window_flags(window, lo, hi)
     assert flags == [exists(spec, n) for n in range(lo, hi + 1)]
-    assert rebracketed_window(spec, lo, hi) == window
 
 
 def test_predicate_window_matches_pointwise():
@@ -345,7 +342,6 @@ def test_predicate_window_matches_pointwise_anywhere(lo, width):
 def test_window_and_exists_match_bruteforce(spec):
     truth = [naive_count(spec_terms(spec), n) > 0 for n in range(201)]
     assert window_flags(representable_window(spec, 0, 200), 0, 200) == truth
-    assert window_flags(rebracketed_window(spec, 0, 200), 0, 200) == truth
     assert [exists(spec, n) for n in range(201)] == truth
 
 
@@ -357,10 +353,9 @@ def test_predicate_window_and_exists_match_bruteforce():
 
 
 def test_window_rejects_bad_bounds():
-    for window in (representable_window, rebracketed_window):
-        with pytest.raises(ValueError):
-            window(THREE_SQUARES, 5, 4)
-        with pytest.raises(ValueError):
-            window(THREE_SQUARES, -1, 4)
+    with pytest.raises(ValueError):
+        representable_window(THREE_SQUARES, 5, 4)
+    with pytest.raises(ValueError):
+        representable_window(THREE_SQUARES, -1, 4)
     with pytest.raises(ValueError):
         constrained_two_squares_triangular_window(3, 2)

@@ -460,6 +460,20 @@ def test_flipped_sieve_bit_is_caught(monkeypatch):
         verify_theorem2_range(0, 500, mode="oracle", forms=[MixedForm.X2_6T_T])
 
 
+def test_every_catalog_counterexample_is_judged(monkeypatch):
+    # two spurious holes in a term list's window, and a pointwise judge that
+    # wrongly agrees at the first: only judging the second one catches them
+    real_window, real_exists = sv.representable_window, sv.exists
+    monkeypatch.setattr(
+        sv,
+        "representable_window",
+        lambda spec, lo, hi: real_window(spec, lo, hi) & ~(1 << 250 - lo | 1 << 260 - lo),
+    )
+    monkeypatch.setattr(sv, "exists", lambda spec, n: n != 250 and real_exists(spec, n))
+    with pytest.raises(AssertionError, match=r"theorem2:x2\+6t\+t: .*n=260 is not represented"):
+        verify_theorem2_range(0, 500, mode="oracle", forms=[MixedForm.X2_6T_T])
+
+
 def test_flipped_first_bit_is_caught(monkeypatch):
     # a spurious "represented" mark is only re-judged at the chunk's first n
     _flip_window_bit(monkeypatch, 0)
@@ -507,7 +521,7 @@ def test_flipped_sieve_bit_is_caught_under_python_O():
 
 # n=8 is represented, but the flipped bit reads it as the control's second
 # counterexample, after the first one (n=7) was judged pointwise: the
-# rebracketed window must catch it, under python -O too.
+# comparison with the classifier must catch it, under python -O too.
 _FLIPPED_BIT_AFTER_MISS = """
 import json, sys
 import mixedsums.survey as sv
@@ -525,14 +539,18 @@ print(json.dumps({"optimize": sys.flags.optimize, "debug": __debug__, "outcome":
 
 def test_flipped_bit_after_first_miss_is_caught(monkeypatch):
     _flip_window_bit(monkeypatch, 8)
-    with pytest.raises(AssertionError, match=r"control:1\*sq\+1\*sq\+1\*sq: .*rebracketed.*n=8\b"):
+    with pytest.raises(
+        AssertionError,
+        match=r"control scan found 49 counterexamples but the classifier excludes 48"
+        r" on \[0, 300\]; first disagreement at n=8$",
+    ):
         negative_control(0, 300)
 
 
 def test_flipped_bit_after_first_miss_is_caught_under_python_O():
     out = _run_under_python_O(_FLIPPED_BIT_AFTER_MISS)
     assert out["optimize"] == 1 and out["debug"] is False
-    assert out["outcome"].startswith("control:1*sq+1*sq+1*sq: ")
+    assert out["outcome"].startswith("control scan found ")
     assert out["outcome"].endswith("n=8")
 
 
@@ -598,18 +616,6 @@ def test_sieved_scan_builds_each_shared_pair_once(monkeypatch):
     assert oracle._last_pair is None
 
 
-def test_rebracketed_window_builds_its_own_pair(monkeypatch):
-    # the control's pairs (a, b) and (b, c) are both 1*sq+1*sq: the
-    # rebracketed window must not take the one representable_window kept
-    spec = sv._CONTROL.spec
-    window = oracle.representable_window(spec, 0, 500)
-    assert oracle._last_pair is not None
-    builds = _count_pair_builds(monkeypatch)
-    assert oracle.rebracketed_window(spec, 0, 500) == window
-    assert builds == [(spec.terms[0], spec.terms[1], 500)]
-    oracle.forget_pair()
-
-
 def test_no_pair_outlives_a_scan(monkeypatch):
     oracle.representable_window(sv._CONTROL.spec, 0, 500)
     negative_control(0, 300)
@@ -634,15 +640,13 @@ def test_one_value_survey_near_2_to_61_finishes():
 
 def test_block_first_n_is_judged(monkeypatch):
     # 114688 = 4^7 * 7 is a counterexample and the first n of the unit's
-    # eighth block; both windows wrongly mark it represented, so they agree
-    # with each other and only the pointwise judge at the block start can
-    # tell
+    # eighth block; the window wrongly marks it represented, and the
+    # pointwise judge at the block start must tell before the classifier does
     bad = 7 * sv.DEFAULT_CHUNK
-    for name in ("representable_window", "rebracketed_window"):
-        real = getattr(sv, name)
-        monkeypatch.setattr(
-            sv, name, lambda spec, lo, hi, real=real: real(spec, lo, hi) | 1 << (bad - lo)
-        )
+    real = sv.representable_window
+    monkeypatch.setattr(
+        sv, "representable_window", lambda spec, lo, hi: real(spec, lo, hi) | 1 << (bad - lo)
+    )
     with pytest.raises(AssertionError, match=rf"n={bad} is represented, the pointwise"):
         negative_control(0, 120_000)
 
