@@ -38,7 +38,8 @@ unit reads them off one sumset bitset of its whole range, and the
 pointwise oracle then judges the first in-domain n of every 2^14-value
 block and every counterexample, each an O(n) miss.  The negative control
 is the one exception: only its first counterexample is judged pointwise,
-since `negative_control` compares every n of its range with an independent
+since `negative_control` compares every n of its range with the numbers
+4^k(8l+7), enumerated directly and each judged by an independent
 classifier.  Any disagreement raises AssertionError.  The negative control
 refuses hi above `oracle.MAX_ENUMERATED_N`, which bounds its first miss.
 """
@@ -81,12 +82,16 @@ DEFAULT_CHUNK = 1 << 14
 MAX_WINDOW_HI = 1 << 26
 
 # The estimated cost of a unit, in seconds; see _price.  Measured on a
-# 2-core x86 VM, Python 3.11.  A constructive value n costs 15 us plus
-# 0.6 us * n^(1/4): 15, 19, 25, 32, 59 and 135 us at n = 0, 1e4, 1e5, 9e5,
-# 1e7 and 1e9 (the five forms, 256 values each).  An exists hit near n,
-# found top-first, costs 1.1 to 1.8 us * n^(1/4) averaged over the catalog's
-# in-domain values (16 us at 1.65e4, 47 us at 1e6, 0.11 ms at 1e8, 0.38 ms
-# at 1e10).  A window up to hi, its pair a + b built afresh, costs
+# 2-core x86 VM, Python 3.11.  A constructive value n costs 7.7 us plus
+# 0.055 us * n^(1/3): 7.7, 8.9, 10, 13, 20 and 63 us at n = 0, 1e4, 1e5, 9e5,
+# 1e7 and 1e9, against 10, 8.7, 8.4, 11, 24 and 82 us measured (the five
+# forms, 256 values each), and 1.2 and 18 ms against 1.0 and 14 ms at 1e13
+# and 2^55.  It is nearly flat below 1e6, where three_squares reads most
+# two-square remainders from its table; no c0 + c1 * n^(1/4) fits within a
+# third.  An exists hit near n, found top-first, costs 1.1 to 1.8 us *
+# n^(1/4) averaged over the catalog's in-domain values (16 us at 1.65e4,
+# 47 us at 1e6, 0.11 ms at 1e8, 0.38 ms at 1e10).  A window up to hi, its
+# pair a + b built afresh, costs
 # 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75: sqrt(hi) shift-ORs of hi-bit
 # integers, each dearer per bit once they outgrow the caches.  That is
 # within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms
@@ -94,8 +99,8 @@ MAX_WINDOW_HI = 1 << 26
 # 15 s and 24 to 37 s at 4.2e6, 1.7e7 and 3.4e7 over a sample of entries).
 # A window whose pair the scan built for the entry before it costs less, so
 # the window price is an upper bound.
-CONSTRUCTIVE_S = 15e-6
-CONSTRUCTIVE_ROOT4_S = 0.6e-6
+CONSTRUCTIVE_S = 7.7e-6
+CONSTRUCTIVE_ROOT3_S = 0.055e-6
 EXISTS_HIT_S = 1.5e-6
 WINDOW_ROOT_S = 2.5e-6
 WINDOW_POW_S = 2.5e-12
@@ -257,7 +262,7 @@ def _price(path: str, lo: int, hi: int) -> float:
     window and an exists hit per block."""
     width = hi - lo + 1
     if path == "constructive":
-        return width * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT4_S * hi**0.25)
+        return width * (CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT3_S * hi ** (1 / 3))
     hit = EXISTS_HIT_S * hi**0.25
     if path == "pointwise":
         return width * hit
@@ -295,7 +300,7 @@ def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
         bad = [lo + m.start() for m in re.finditer("1", format(holes, "b")[::-1])]
         # then judge, each n once and in order: the first n of every block
         # and every counterexample, but only the control's first one, since
-        # negative_control checks the rest against its classifier
+        # negative_control checks the rest against its enumeration
         blocks = range(lo, hi + 1, DEFAULT_CHUNK)
         firsts = (m for b in blocks for m in _domain_values(entry.domain, b, hi)[:1])
         misses = bad[:1] if entry is _CONTROL else bad
@@ -415,9 +420,11 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
 
     The form x^2 + y^2 + z^2 misses exactly the numbers 4^k(8l+7); finding
     precisely those as counterexamples shows the oracle cannot pass
-    vacuously.  Every n of [lo, hi] is compared with the independent
-    classifier, so a wrong bit of the scan's window anywhere is a
-    disagreement, which raises AssertionError, as every failed internal check
+    vacuously.  The scan's counterexamples must be exactly the 4^k(8l+7) in
+    [lo, hi], enumerated directly, so a wrong bit of the scan's window
+    anywhere is a disagreement; the independent classifier must exclude each
+    of those and admit the first n of every block unless it is one of them.
+    A disagreement raises AssertionError, as every failed internal check
     does, under python -O too.  The scan is always one sieved window, however
     narrow.  Its first counterexample is an O(lo) exists miss, so hi may not
     exceed MAX_ENUMERATED_N.
@@ -427,12 +434,21 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
             f"hi={hi} is above {MAX_ENUMERATED_N}, the largest n the negative control scans"
         )
     report = _run_scans([_CONTROL], "oracle", lo, hi, jobs)[0]
-    expected = tuple(m for m in range(lo, hi + 1) if not is_three_square_feasible(m))
-    if report.counterexamples != expected:
-        first = min(set(report.counterexamples) ^ set(expected))
+    # the excluded n, enumerated as one range of step 8p for each p = 4^k
+    expected, p = [], 1
+    while 7 * p <= hi:
+        expected += range(lo + (7 * p - lo) % (8 * p), hi + 1, 8 * p)
+        p *= 4
+    expected.sort()
+    # the classifier judges each of them and, as a sample of represented n,
+    # the first n of every block
+    judged = sorted({*expected, *range(lo, hi + 1, DEFAULT_CHUNK)})
+    excluded = [n for n in judged if not is_three_square_feasible(n)]
+    if report.counterexamples != tuple(expected) or excluded != expected:
+        first = min(set(report.counterexamples) ^ set(expected) | set(excluded) ^ set(expected))
         raise AssertionError(
             f"control scan found {len(report.counterexamples)} counterexamples but the"
-            f" classifier excludes {len(expected)} on [{lo}, {hi}];"
+            f" classifier excludes {len(excluded)} on [{lo}, {hi}];"
             f" first disagreement at n={first}"
         )
     return report

@@ -5,6 +5,8 @@ input has the shape 4**k * (8l + 7); the classifier gates entry, so the
 search below never spins on an infeasible input.  The search order is part
 of the contract: the leading square is taken as large as possible, then the
 middle one, which makes repeated calls return the identical triple.
+Two-square remainders below 2^16 are read from a table built at import;
+larger ones are found by a downward scan.
 """
 
 from __future__ import annotations
@@ -18,6 +20,24 @@ from .arith import _check_natural, is_three_square_feasible
 _SQUARE_MOD256 = bytearray(256)
 for _r in range(256):
     _SQUARE_MOD256[(_r * _r) & 255] = 1
+
+# two-square remainders below this are read from _MAX_A, not scanned
+_TABLE_BOUND = 1 << 16
+
+
+def _max_a_table(bound: int) -> bytearray:
+    """Entry m < bound is the largest a with m = a*a + b*b and a >= b >= 0,
+    or 0 when there is none (and at m = 0); ascending a overwrites each sum's
+    smaller a.  Built in a function: local names make it about 1 ms."""
+    table = bytearray(bound)
+    squares = [a * a for a in range(isqrt(bound - 1) + 1)]
+    for a, a2 in enumerate(squares):
+        for b2 in squares[: min(a, isqrt(bound - 1 - a2)) + 1]:
+            table[a2 + b2] = a
+    return table
+
+
+_MAX_A = _max_a_table(_TABLE_BOUND)  # a <= 255 at 2^16, so a byte holds it
 
 
 class NotRepresentableError(ValueError):
@@ -36,7 +56,10 @@ class ThreeSquareRep:
 
 def two_squares(m: int) -> tuple[int, int] | None:
     """m = a*a + b*b with a >= b >= 0 and a maximal, or None if impossible."""
-    _check_natural(m)
+    _check_natural(m)  # first: a negative m would index the table from its end
+    if m < _TABLE_BOUND:
+        a = _MAX_A[m]
+        return (a, isqrt(m - a * a)) if a or not m else None
     a = isqrt(m)
     while 2 * a * a >= m:
         b2 = m - a * a

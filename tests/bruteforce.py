@@ -31,6 +31,35 @@ def ordered_three_square_reps(m: int) -> list[tuple[int, int, int]]:
     return out
 
 
+def max_a_two_squares(m: int) -> tuple[int, int] | None:
+    """m == a^2 + b^2 with a >= b >= 0 and a maximal: b counts up from 0,
+    so the first hit has the smallest b and so the largest a."""
+    b = 0
+    while 2 * b * b <= m:
+        a = isqrt(m - b * b)
+        if a * a == m - b * b:
+            return a, b
+        b += 1
+    return None
+
+
+def max_three_squares(m: int) -> tuple[int, int, int] | None:
+    """The lexicographically greatest x >= y >= z >= 0 with x^2 + y^2 + z^2
+    == m: x counts down from isqrt(m), then y down from min(x, isqrt(m - x^2)),
+    and the first square z^2 <= y^2 wins.  No table, no residue filter."""
+    x = isqrt(m)
+    while x >= 0:
+        r = m - x * x
+        y = min(x, isqrt(r))
+        while 2 * y * y >= r:
+            z = isqrt(r - y * y)
+            if z * z == r - y * y:
+                return x, y, z
+            y -= 1
+        x -= 1
+    return None
+
+
 def three_square_representable(hi: int) -> set[int]:
     """Every m <= hi expressible as x^2 + y^2 + z^2, by forward sieve."""
     out: set[int] = set()

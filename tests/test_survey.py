@@ -675,6 +675,20 @@ def test_negative_control_accounting():
     assert r.mode == "oracle"
 
 
+def test_control_classifier_judges_the_exclusions_and_block_firsts(monkeypatch):
+    calls = _count_calls(monkeypatch, "is_three_square_feasible")
+    negative_control(0, 10**5)
+    blocks = range(0, 10**5 + 1, sv.DEFAULT_CHUNK)
+    assert sorted(m for (m,) in calls) == sorted({*gauss_legendre_excluded(10**5), *blocks})
+
+
+def test_control_classifier_that_excludes_everything_is_caught(monkeypatch):
+    # the block-first sample is what a classifier with no "feasible" fails on
+    monkeypatch.setattr(sv, "is_three_square_feasible", lambda m: False)
+    with pytest.raises(AssertionError, match=r"first disagreement at n=8$"):
+        negative_control(8, 300)
+
+
 def test_control_mismatch_is_loud(monkeypatch):
     monkeypatch.setattr(sv, "is_three_square_feasible", lambda m: True)
     with pytest.raises(AssertionError, match="control scan found"):

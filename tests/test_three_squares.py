@@ -14,7 +14,7 @@ from mixedsums.three_squares import (
     two_squares,
 )
 
-from bruteforce import ordered_three_square_reps
+from bruteforce import max_a_two_squares, max_three_squares, ordered_three_square_reps
 
 
 def test_two_squares_values():
@@ -26,17 +26,31 @@ def test_two_squares_values():
     assert two_squares(7) is None
 
 
-@given(st.integers(min_value=0, max_value=20000))
+def test_two_squares_table_matches_reference_below_2_16():
+    # every m the table answers, against a loop over b with no table
+    for m in range(1 << 16):
+        assert two_squares(m) == max_a_two_squares(m), m
+
+
+@pytest.mark.parametrize(
+    "m,expected",
+    [
+        (65024, None),  # 2^16 - 512 = 2^9 * 127, and 127 is 3 mod 4
+        (65025, (255, 0)),  # 255^2, the largest a the table holds
+        (65535, None),  # 3 mod 4
+        (65536, (256, 0)),  # the first value the scan answers
+        (65537, (256, 1)),  # 2^16 + 1, prime
+        (131072, (256, 256)),  # 2 * 256^2: the scan's last step, a == b
+    ],
+)
+def test_two_squares_at_the_table_bound(m, expected):
+    assert two_squares(m) == expected == max_a_two_squares(m)
+
+
+# straddles the table's bound, so the scan above it is drawn from too
+@given(st.integers(min_value=0, max_value=10**7))
 def test_two_squares_is_maximal_a(m):
-    got = two_squares(m)
-    best = None
-    a = 0
-    while a * a <= m:
-        b = isqrt(m - a * a)
-        if b * b == m - a * a and b <= a and (best is None or a > best[0]):
-            best = (a, b)
-        a += 1
-    assert got == best
+    assert two_squares(m) == max_a_two_squares(m)
 
 
 @pytest.mark.parametrize(
@@ -94,6 +108,32 @@ def test_three_squares_matches_classifier(m):
     else:
         with pytest.raises(NotRepresentableError):
             three_squares(m)
+
+
+# up to 10^10 the remainders of the x tried straddle the table's bound 2^16
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=10**10))
+def test_three_squares_matches_reference_scan(m):
+    if is_three_square_feasible(m):
+        rep = three_squares(m)
+        assert (rep.x, rep.y, rep.z) == max_three_squares(m)
+
+
+# 24n + 3 is the target x2+3y2+t splits; near the ceiling n = 2^55 every
+# remainder is far above 2^16.  A call there takes up to about 0.2 s (p99),
+# the reference a few times that, so the examples are few
+@settings(max_examples=12, deadline=None)
+@given(st.integers(min_value=2**55 - 2**40, max_value=2**55))
+def test_three_squares_matches_reference_scan_near_ceiling(n):
+    m = 24 * n + 3
+    rep = three_squares(m)
+    assert (rep.x, rep.y, rep.z) == max_three_squares(m)
+
+
+def test_two_squares_rejects_negative():
+    # checked before the table is read, which a negative index would wrap
+    with pytest.raises(ValueError):
+        two_squares(-1)
 
 
 def test_three_squares_rejects_negative():
