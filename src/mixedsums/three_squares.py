@@ -5,8 +5,11 @@ input has the shape 4**k * (8l + 7); the classifier gates entry, so the
 search below never spins on an infeasible input.  The search order is part
 of the contract: the leading square is taken as large as possible, then the
 middle one, which makes repeated calls return the identical triple.
-Two-square remainders below 2^16 are read from a table built at import;
-larger ones are found by a downward scan.
+Squares are 0 or 1 mod 4, so three of them sum to 4m' only when all three
+are even: every split of 4m' is twice a split of m', and so is the canonical
+one.  The search therefore runs on m with its factors of 4 stripped and
+scales the triple back.  Two-square remainders below 2^16 are read from a
+table built at import; larger ones are found by a downward scan.
 """
 
 from __future__ import annotations
@@ -74,21 +77,26 @@ def two_squares(m: int) -> tuple[int, int] | None:
 def three_squares(m: int) -> ThreeSquareRep:
     """Canonical three-square decomposition of m.
 
-    Scans the leading square x downward from isqrt(m) and accepts the first
-    x whose remainder splits into two squares b <= a <= x, so the result is
-    the lexicographically greatest ordered triple.
+    Strips m to core = m / 4^k, scans the leading square x downward from
+    isqrt(core) and accepts the first x whose remainder splits into two
+    squares b <= a <= x, so 2^k (x, a, b) is the lexicographically greatest
+    ordered triple of m.
 
     Raises NotRepresentableError iff is_three_square_feasible(m) is false.
     """
     if not is_three_square_feasible(m):
         raise NotRepresentableError(f"{m} = 4^k(8l+7) is not a sum of three squares")
-    x = isqrt(m)
+    core, k = m, 0
+    while core and not core & 3:
+        core >>= 2
+        k += 1
+    x = isqrt(core)
     while x >= 0:
-        rem = m - x * x
+        rem = core - x * x
         # sums of two squares never land on 3, 6 or 7 mod 8
         if rem & 7 not in (3, 6, 7):
             pair = two_squares(rem)
             if pair is not None and pair[0] <= x:
-                return ThreeSquareRep(m, x, pair[0], pair[1])
+                return ThreeSquareRep(m, x << k, pair[0] << k, pair[1] << k)
         x -= 1
     raise AssertionError(f"search exhausted for feasible {m}")

@@ -153,6 +153,32 @@ def test_certificate_json_golden():
     assert cert.to_json() == '{"form":"4x2+2t+t","n":2,"x":0,"y":-2,"z":0}'
 
 
+# every form at the ceiling 2^55, just below it, and at 2^54 + 1; 48n + 24,
+# the target x2+3t+t splits, has a factor of 4 that three_squares strips
+CEILING_GOLDEN = [
+    '{"form":"x2+3y2+t","n":36028797018963968,"x":77504180,"y":77490899,"z":154966969}',
+    '{"form":"x2+3t+t","n":36028797018963968,"x":109592293,"y":-109575137,"z":109619893}',
+    '{"form":"x2+6t+t","n":36028797018963968,"x":77487236,"y":-77493619,"z":154975756}',
+    '{"form":"3x2+2t+t","n":36028797018963968,"x":77487753,"y":77495035,"z":154985553}',
+    '{"form":"4x2+2t+t","n":36028797018963968,"x":-67099713,"y":-134236028,"z":-1584}',
+    '{"form":"x2+3y2+t","n":36028797018963967,"x":-77502506,"y":-77478355,"z":-155006272}',
+    '{"form":"x2+3t+t","n":36028797018963967,"x":109582931,"y":-109587499,"z":109601537}',
+    '{"form":"x2+6t+t","n":36028797018963967,"x":77493604,"y":-77487657,"z":154987274}',
+    '{"form":"3x2+2t+t","n":36028797018963967,"x":77487885,"y":77495688,"z":154984504}',
+    '{"form":"4x2+2t+t","n":36028797018963967,"x":-67106343,"y":-134222770,"z":-12914}',
+    '{"form":"x2+3y2+t","n":18014398509481985,"x":109584008,"y":-1005,"z":-109596932}',
+    '{"form":"x2+3t+t","n":18014398509481985,"x":77479354,"y":-77499654,"z":77486176}',
+    '{"form":"x2+6t+t","n":18014398509481985,"x":-109596517,"y":5035,"z":109571911}',
+    '{"form":"3x2+2t+t","n":18014398509481985,"x":-54800119,"y":-54785633,"z":-109578957}',
+    '{"form":"4x2+2t+t","n":18014398509481985,"x":47456599,"y":94899330,"z":-29174}',
+]
+
+
+def test_certificate_json_golden_near_the_ceiling():
+    lines = [represent(f, n).to_json() for n in (2**55, 2**55 - 1, 2**54 + 1) for f in MixedForm]
+    assert lines == CEILING_GOLDEN
+
+
 @settings(max_examples=100)
 @given(st.sampled_from(list(MixedForm)), st.integers(min_value=0, max_value=10**6))
 def test_certificate_json_round_trip(form, n):

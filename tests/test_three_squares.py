@@ -110,6 +110,16 @@ def test_three_squares_matches_classifier(m):
             three_squares(m)
 
 
+def test_three_squares_of_4k_m_matches_reference_scan():
+    # the search runs on m / 4^k and scales the triple back by 2^k
+    for k in range(4):
+        for m in range(10**4 + 1):
+            if is_three_square_feasible(m):
+                rep = three_squares(4**k * m)
+                assert rep.m == 4**k * m
+                assert (rep.x, rep.y, rep.z) == max_three_squares(4**k * m), (k, m)
+
+
 # up to 10^10 the remainders of the x tried straddle the table's bound 2^16
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10**10))
