@@ -82,16 +82,19 @@ DEFAULT_CHUNK = 1 << 14
 MAX_WINDOW_HI = 1 << 26
 
 # The estimated cost of a unit, in seconds; see _price.  Measured on a
-# 2-core x86 VM, Python 3.11.  A constructive value n costs 7.7 us plus
-# 0.055 us * n^(1/3): 7.7, 8.9, 10, 13, 20 and 63 us at n = 0, 1e4, 1e5, 9e5,
-# 1e7 and 1e9, against 10, 8.7, 8.4, 11, 24 and 82 us measured (the five
-# forms, 256 values each), and 1.2 and 18 ms against 1.0 and 14 ms at 1e13
-# and 2^55.  It is nearly flat below 1e6, where three_squares reads most
-# two-square remainders from its table; no c0 + c1 * n^(1/4) fits within a
-# third.  An exists hit near n, found top-first, costs 1.1 to 1.8 us *
-# n^(1/4) averaged over the catalog's in-domain values (16 us at 1.65e4,
-# 47 us at 1e6, 0.11 ms at 1e8, 0.38 ms at 1e10).  A window up to hi, its
-# pair a + b built afresh, costs
+# 2-core x86 VM, Python 3.11.  A constructive value n costs 8.5 us plus
+# 0.018 us * n^(1/3): 8.5, 8.9, 9.3, 10, 12 and 27 us at n = 0, 1e4, 1e5,
+# 9e5, 1e7 and 1e9, against 8.4, 8.8, 8.9, 9.6, 13 and 36 to 56 us measured
+# (verify(represent(form, n)) for the five forms, 256 values each), and
+# 0.40 and 6.0 ms against 0.33 to 0.52 and 4.7 to 5.3 ms at 1e13 and 2^55.
+# It is nearly flat below 1e6, where three_squares reads most two-square
+# remainders from its table, and grows as about n^0.27 from 1e9 to 2^55,
+# where the two-square scan visits only the a that can leave a square mod
+# 256; no c0 + c1 * n^(1/3) fits both ends within a third, and this one
+# underprices 1e9 by a third to a half.  An exists hit near n, found
+# top-first, costs 1.1 to 1.8 us * n^(1/4) averaged over the catalog's
+# in-domain values (16 us at 1.65e4, 47 us at 1e6, 0.11 ms at 1e8, 0.38 ms
+# at 1e10).  A window up to hi, its pair a + b built afresh, costs
 # 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75: sqrt(hi) shift-ORs of hi-bit
 # integers, each dearer per bit once they outgrow the caches.  That is
 # within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms
@@ -99,8 +102,8 @@ MAX_WINDOW_HI = 1 << 26
 # 15 s and 24 to 37 s at 4.2e6, 1.7e7 and 3.4e7 over a sample of entries).
 # A window whose pair the scan built for the entry before it costs less, so
 # the window price is an upper bound.
-CONSTRUCTIVE_S = 7.7e-6
-CONSTRUCTIVE_ROOT3_S = 0.055e-6
+CONSTRUCTIVE_S = 8.5e-6
+CONSTRUCTIVE_ROOT3_S = 0.018e-6
 EXISTS_HIT_S = 1.5e-6
 WINDOW_ROOT_S = 2.5e-6
 WINDOW_POW_S = 2.5e-12

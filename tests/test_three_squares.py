@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mixedsums.three_squares as ts
 from mixedsums.arith import is_three_square_feasible
 from mixedsums.three_squares import (
     NotRepresentableError,
@@ -41,10 +42,60 @@ def test_two_squares_table_matches_reference_below_2_16():
         (65536, (256, 0)),  # the first value the scan answers
         (65537, (256, 1)),  # 2^16 + 1, prime
         (131072, (256, 256)),  # 2 * 256^2: the scan's last step, a == b
+        # the scan's blocks of 128 a
+        (262145, (512, 1)),  # isqrt(m) = 4 * 128 is the answer, its block's first a
+        (147473, (383, 28)),  # isqrt(m) = 3 * 128; 383 = 127 mod 128 is the next block's first
+        (294912, (384, 384)),  # 2 * (3 * 128)^2: a == b, the scan's last a and its block's last
     ],
 )
 def test_two_squares_at_the_table_bound(m, expected):
     assert two_squares(m) == expected == max_a_two_squares(m)
+
+
+def test_two_squares_scan_matches_reference_above_2_16():
+    # every m of the first 2^15 the scan answers
+    for m in range(1 << 16, (1 << 16) + (1 << 15)):
+        assert two_squares(m) == max_a_two_squares(m), m
+
+
+def test_two_squares_scan_covers_every_class_mod_256():
+    # 2^30 + j is j mod 256, so every class is scanned once, including the
+    # 127 whose list is empty (m 3 mod 4, 6 mod 8, 12 mod 16, ...)
+    for j in range(256):
+        m = (1 << 30) + j
+        assert two_squares(m) == max_a_two_squares(m), m
+
+
+class _CountingInt(int):
+    """An int that counts the subtractions m - x made from it."""
+
+    subtractions = 0
+
+    def __sub__(self, other):
+        _CountingInt.subtractions += 1
+        return int(self) - other
+
+
+def test_two_squares_scan_visits_only_the_listed_residues(monkeypatch):
+    # a miss near 2^34 in a class (m = 20 mod 256) that lets 24 of 128 a
+    # through: the scan forms m - a^2 and takes its isqrt for about that
+    # share of the a the plain scan would visit.  A scan that tests every a
+    # mod 256 also skips the isqrt of most, but forms every m - a^2
+    m = (1 << 34) + 20
+    assert max_a_two_squares(m) is None
+    span = isqrt(m) - isqrt((m - 1) // 2)  # the a with a^2 <= m <= 2a^2
+    roots = 0
+
+    def counting_isqrt(n):
+        nonlocal roots
+        roots += 1
+        return isqrt(n)
+
+    monkeypatch.setattr(ts, "isqrt", counting_isqrt)
+    monkeypatch.setattr(_CountingInt, "subtractions", 0)
+    assert two_squares(_CountingInt(m)) is None
+    assert roots <= span // 5 + 8
+    assert _CountingInt.subtractions <= span // 5 + 8
 
 
 # straddles the table's bound, so the scan above it is drawn from too
@@ -130,8 +181,8 @@ def test_three_squares_matches_reference_scan(m):
 
 
 # 24n + 3 is the target x2+3y2+t splits; near the ceiling n = 2^55 every
-# remainder is far above 2^16.  A call there takes up to about 0.2 s (p99),
-# the reference a few times that, so the examples are few
+# remainder is far above 2^16.  A call there takes up to about 0.06 s (p99
+# of 300 seeded n) and the reference longer, so the examples are few
 @settings(max_examples=12, deadline=None)
 @given(st.integers(min_value=2**55 - 2**40, max_value=2**55))
 def test_three_squares_matches_reference_scan_near_ceiling(n):
