@@ -9,21 +9,18 @@ way around, so this module must stay independent of the construction
 machinery: it imports only the named forms and their term table (to
 translate them into term lists) and the width checks.
 
-`exists` makes one top-first pass before its full walk: for each outer
-value it tries only the largest value of the middle slot that fits, then
-solves the last slot.  The remainder left is below one gap between
-neighbouring middle values, so a hit usually comes within about n^(1/4)
-outer values; when the pass finds none, the full walk answers, so the
-answer stays exact.  The walk (`_walk`) takes the outer values from the top
-down and looks every remainder up in a set of the last slot's values, which
-grows with the remainder: a miss still tries O(n) pairs, at C speed, and
-holds O(sqrt(n)) values.  Over three identical slots (x^2 + y^2 + z^2) it
-stops once the outer value drops below n/3, since the largest of three
-values summing to n is at least n/3.  The parity-constrained predicate
-judges each remainder by its parity, and makes the same kind of first pass:
-an odd remainder tried with its largest square, an even one settled as
-2x^2.  Its exact answer is the same walk, over the odd remainders only: an
-odd x^2 + y^2 is (2u)^2 + (2v+1)^2 = 4u^2 + 8t_v + 1.
+`exists` walks (`_walk`) the outer values from the top down and looks every
+remainder up in a set of the last slot's values, which grows with the
+remainder.  A hit usually comes within a few outer values, whose remainders
+are O(sqrt(n)), so it builds only about n^(1/4) slot values; a miss tries
+O(n) pairs, at C speed, and holds O(sqrt(n)) values.  Over three identical
+slots (x^2 + y^2 + z^2) it stops once the outer value drops below n/3,
+since the largest of three values summing to n is at least n/3.  The
+parity-constrained predicate judges each remainder by its parity, and makes
+a first pass before the walk: an odd remainder tried with its largest
+square, an even one settled as 2x^2, which the walk does not cover.  Its
+exact answer for odd remainders is the same walk: an odd x^2 + y^2 is
+(2u)^2 + (2v+1)^2 = 4u^2 + 8t_v + 1.
 
 Range windows (`representable_window`) enumerate the same term values, but
 over a whole range at once: the represented numbers up to hi are the sumset
@@ -200,19 +197,8 @@ def exists(spec: FormSpec, n: int) -> bool:
     """True iff some integer triple evaluates to n under spec."""
     _check_natural(n, "n")
     # the two sparsest slots outermost (fewest candidate values, in
-    # _by_density order), the densest solved directly: v is c*square iff
-    # c | v and v/c is square, similarly v is c*triangular iff c | v and
-    # 8(v/c)+1 is a perfect square
+    # _by_density order), the densest looked up among its values
     c, b, a = _by_density(spec)
-    # first pass, top-first: for each outer value only the largest middle
-    # value that fits, so the solved slot sees a remainder below one gap
-    # between neighbouring middle values, O(sqrt(n)) rather than about n, and
-    # a hit takes about n^(1/4) steps instead of sqrt(n)
-    for va in _values(a, n):
-        rb = n - va
-        if _third_indices(c, rb - _value(b, _top_index(b, rb))):
-            return True
-    # then every pair, so the answer stays exact
     return _walk(a, b, c, n)
 
 
@@ -400,8 +386,8 @@ def exists_constrained_two_squares_triangular(n: int) -> bool:
     in the catalogs.
     """
     _check_natural(n, "n")
-    # first pass, top-first as in exists: t from the top down, an odd r tried
-    # with its largest square only, an even r settled exactly as 2x^2
+    # first pass: t from the top down, an odd r tried with its largest
+    # square only, an even r settled exactly as 2x^2
     tri = Term(1, "tri")
     for i in range(_top_index(tri, n), -1, -1):
         r = n - _value(tri, i)

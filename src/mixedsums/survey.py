@@ -91,10 +91,11 @@ MAX_WINDOW_HI = 1 << 26
 # remainders from its table, and grows as about n^0.27 from 1e9 to 2^55,
 # where the two-square scan visits only the a that can leave a square mod
 # 256; no c0 + c1 * n^(1/3) fits both ends within a third, and this one
-# underprices 1e9 by a third to a half.  An exists hit near n, found
-# top-first, costs 1.1 to 1.8 us * n^(1/4) averaged over the catalog's
-# in-domain values (16 us at 1.65e4, 47 us at 1e6, 0.11 ms at 1e8, 0.38 ms
-# at 1e10).  A window up to hi, its pair a + b built afresh, costs
+# underprices 1e9 by a third to a half.  An exists hit near n, which the
+# walk finds within a few outer values, costs 0.9 to 1.9 us * n^(1/4)
+# averaged over the catalog's in-domain values (12 to 22 us at 1.65e4, 28
+# to 39 us at 1e6, 87 to 101 us at 1e8, 0.29 to 0.32 ms at 1e10, 1.0 to
+# 1.4 ms at 1e12).  A window up to hi, its pair a + b built afresh, costs
 # 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75: sqrt(hi) shift-ORs of hi-bit
 # integers, each dearer per bit once they outgrow the caches.  That is
 # within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms
@@ -108,10 +109,10 @@ EXISTS_HIT_S = 1.5e-6
 WINDOW_ROOT_S = 2.5e-6
 WINDOW_POW_S = 2.5e-12
 
-# A pool of two workers took 13 ms to start and stop in a warm process and
-# about 40 ms in a fresh one, which first imports multiprocessing (30 ms), so
-# 20 ms lies between; each unit it carries added 0.22 ms (same VM, median of
-# 7, 2 to 1000 one-value units).
+# A forked pool of two workers took 13 ms to start and stop in a warm
+# process and about 40 ms in a fresh one, which first imports
+# multiprocessing (30 ms), so 20 ms lies between; each unit it carries added
+# 0.22 ms (same VM, median of 7, 2 to 1000 one-value units).
 POOL_START_S = 0.02
 POOL_UNIT_S = 0.22e-3
 
@@ -370,9 +371,16 @@ def _run_scans(
         if workers > 1:
             # imported here: it loads multiprocessing, which a one-process
             # scan and every other command never need
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # forked where the platform can fork, whatever its default: a
+            # forked worker starts as cheaply as POOL_START_S prices it and
+            # sees this process's modules as they stand (fork copies only the
+            # calling thread, and the scan starts no other)
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork") if fork else None
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
                 ran = dict(zip(run, pool.map(_scan_unit, run)))
         else:
             ran = {unit: _scan_unit(unit) for unit in run}

@@ -132,13 +132,30 @@ def test_exists_iff_positive_count(n):
 
 @pytest.mark.parametrize("spec", SCANNED_SPECS + WALK_SPECS, ids=str)
 def test_exists_and_its_walk_match_bruteforce(spec):
-    # the exact walk on its own, without the top-first pass before it, must
-    # answer every n; so must exists
+    # exists is the exact walk and nothing else, so it must answer every n
     truth = represented(spec_terms(spec), 3000)
-    flags = [n in truth for n in range(3001)]
-    c, b, a = oracle._by_density(spec)
-    assert [oracle._walk(a, b, c, n) for n in range(3001)] == flags
-    assert [exists(spec, n) for n in range(3001)] == flags
+    assert [exists(spec, n) for n in range(3001)] == [n in truth for n in range(3001)]
+
+
+# any term list with coefficients 1 to 8, the lists a classification of
+# every coefficient triple by escalation asks about
+TERM_LISTS = st.builds(
+    lambda terms: FormSpec(tuple(terms)),
+    st.lists(
+        st.builds(Term, st.integers(min_value=1, max_value=8), st.sampled_from(["sq", "tri"])),
+        min_size=3,
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TERM_LISTS)
+def test_exists_and_window_match_bruteforce_on_any_term_list(spec):
+    truth = represented(spec_terms(spec), 200)
+    flags = [n in truth for n in range(201)]
+    assert [exists(spec, n) for n in range(201)] == flags
+    assert window_flags(representable_window(spec, 0, 200), 0, 200) == flags
 
 
 def test_exists_examples():
@@ -147,33 +164,53 @@ def test_exists_examples():
     assert not exists(THREE_SQUARES, 7)
 
 
+# n = t_(2^31) < 2^63 - 1, even, so in the domain of every term list but
+# Panaitopol's, which are scanned at odd n only
+NEAR_2_TO_61 = (1 << 31) * ((1 << 31) + 1) // 2
+
+
 def test_exists_near_the_ceiling_solves_the_first_pair():
-    # n = t_(2^31) < 2^63 - 1: the first values of the two square slots,
-    # 0 and 0, leave n to the triangular slot, whose solve reads 8n + 1,
-    # a number past 64 bits; the slots are walked lazily, so the answer
-    # comes without building their ~1.5e9 values
-    n = (1 << 31) * ((1 << 31) + 1) // 2
-    assert n == 2305843010287435776
-    assert exists(spec_of("1*sq+1*sq+1*tri"), n)
+    # the walk starts from the largest outer value, so a hit needs only the
+    # slot values up to the small remainders left there, never the ~1.5e9
+    # values below n
+    assert NEAR_2_TO_61 == 2305843010287435776
+    assert exists(spec_of("1*sq+1*sq+1*tri"), NEAR_2_TO_61)
 
 
-# represented n that the top-first pass misses, so the walk answers them:
-# the first ten such n of the control, and the 24 represented control block
-# starts k*2^14 below 10^6 among the 33 the pass misses (the other 9 are
-# 4^k(8l+7)); 49152 = 3*128^2 is only 128^2 + 128^2 + 128^2
-PASS_MISSES = [48, 88, 142, 172, 192, 267, 268, 280, 352, 384] + [
+@pytest.mark.parametrize(
+    "spec",
+    dict.fromkeys(e.spec for e in CATALOG if e.predicate is None and e.domain != "positive_odd"),
+    ids=str,
+)
+def test_exists_near_2_to_61_is_a_cheap_hit(spec, monkeypatch):
+    # every term list hits there within 360,502 slot values (1*sq+8*tri+1*tri);
+    # a walk that slid towards its O(n) miss fails at the 10^6th value
+    # instead of running for hours
+    value = oracle._value
+    calls = []
+
+    def counted(term, i):
+        calls.append(1)
+        assert len(calls) < 10**6, "no hit within 10^6 slot values"
+        return value(term, i)
+
+    monkeypatch.setattr(oracle, "_value", counted)
+    assert exists(spec, NEAR_2_TO_61)
+
+
+# represented n that trying only the largest middle value for each outer
+# value misses: the first ten such n of the control, and the 24 represented
+# control block starts k*2^14 below 10^6 among the 33 it misses (the other 9
+# are 4^k(8l+7)); 49152 = 3*128^2 is only 128^2 + 128^2 + 128^2
+LARGEST_MIDDLE_MISSES = [48, 88, 142, 172, 192, 267, 268, 280, 352, 384] + [
     k << 14
     for k in (3, 6, 11, 12, 14, 19, 21, 22, 24, 27, 30, 33, 35, 38, 42, 43, 44, 46, 48, 51, 54,
               56, 57, 59)
 ]
 
 
-def test_walk_answers_what_the_first_pass_misses(monkeypatch):
-    walk = oracle._walk
-    walked = []
-    monkeypatch.setattr(oracle, "_walk", lambda *args: walked.append(args[-1]) or walk(*args))
-    assert all(exists(THREE_SQUARES, n) for n in PASS_MISSES)
-    assert walked == PASS_MISSES
+def test_exists_accepts_what_the_largest_middle_value_misses():
+    assert all(exists(THREE_SQUARES, n) for n in LARGEST_MIDDLE_MISSES)
 
 
 def test_walk_over_one_slot_stops_below_a_third(monkeypatch):

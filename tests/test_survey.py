@@ -3,6 +3,7 @@ from __future__ import annotations
 import concurrent.futures
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -230,9 +231,9 @@ def _spy_on_pools(monkeypatch):
     started = []
 
     class Spy(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None):
+        def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     return started
@@ -500,14 +501,17 @@ print(json.dumps({"optimize": sys.flags.optimize, "debug": __debug__, "outcome":
 """
 
 
-def _run_under_python_O(script):
+def _run_python(*args):
     src = str(Path(mixedsums.__file__).parents[1])
     path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        env=env, capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def _run_under_python_O(script):
+    proc = _run_python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -517,6 +521,31 @@ def test_flipped_sieve_bit_is_caught_under_python_O():
     assert out["optimize"] == 1 and out["debug"] is False
     assert out["outcome"].startswith("theorem2:x2+6t+t: ")
     assert "n=250" in out["outcome"]
+
+
+# A worker that forkserver or spawn starts imports survey afresh and never
+# sees a patch made in its parent.  The scan forks its workers wherever the
+# platform can, whatever the default start method, so the flipped bit
+# reaches them and the fault exits 3.
+_FLIPPED_BIT_IN_A_WORKER = """
+import multiprocessing, sys
+import mixedsums.cli, mixedsums.survey as sv
+
+multiprocessing.set_start_method("forkserver")
+sv._usable_cpus = lambda: 2
+real = sv.representable_window
+sv.representable_window = lambda spec, lo, hi: real(spec, lo, hi) ^ 1 << 250
+sys.exit(mixedsums.cli.main(["survey", "0", "262143", "--jobs", "2"]))
+"""
+
+
+@pytest.mark.skipif(
+    "forkserver" not in multiprocessing.get_all_start_methods(), reason="no forkserver"
+)
+def test_flipped_bit_reaches_workers_under_any_default_start_method():
+    proc = _run_python("-c", _FLIPPED_BIT_IN_A_WORKER)
+    assert proc.returncode == 3, proc.stderr
+    assert "n=250" in proc.stderr
 
 
 # n=8 is represented, but the flipped bit reads it as the control's second
@@ -629,8 +658,8 @@ def test_no_pair_outlives_a_scan(monkeypatch):
 
 def test_one_value_survey_near_2_to_61_finishes():
     # n = t_(2^31), even: a one-value scan is judged pointwise, and every
-    # judge must answer in its top-first pass, since an exact walk there
-    # would try about n pairs
+    # judge must answer after a few outer values, since a walk that missed
+    # there would try about n pairs
     n = 2305843010287435776
     reports = verify_catalog(None, n, n)
     assert [(r.verified_count, r.counterexamples) for r in reports] == [
