@@ -83,19 +83,20 @@ MAX_WINDOW_HI = 1 << 26
 
 # The estimated cost of a unit, in seconds; see _price.  Measured on a
 # 2-core x86 VM, Python 3.11.  A constructive value n costs 8.5 us plus
-# 0.018 us * n^(1/3): 8.5, 8.9, 9.3, 10, 12 and 27 us at n = 0, 1e4, 1e5,
-# 9e5, 1e7 and 1e9, against 8.4, 8.8, 8.9, 9.6, 13 and 36 to 56 us measured
-# (verify(represent(form, n)) for the five forms, 256 values each), and
-# 0.40 and 6.0 ms against 0.33 to 0.52 and 4.7 to 5.3 ms at 1e13 and 2^55.
-# It is nearly flat below 1e6, where three_squares reads most two-square
-# remainders from its table, and grows as about n^0.27 from 1e9 to 2^55,
-# where the two-square scan visits only the a that can leave a square mod
-# 256; no c0 + c1 * n^(1/3) fits both ends within a third, and this one
-# underprices 1e9 by a third to a half.  An exists hit near n, which the
-# walk finds within a few outer values, costs 0.9 to 1.9 us * n^(1/4)
-# averaged over the catalog's in-domain values (12 to 22 us at 1.65e4, 28
-# to 39 us at 1e6, 87 to 101 us at 1e8, 0.29 to 0.32 ms at 1e10, 1.0 to
-# 1.4 ms at 1e12).  A window up to hi, its pair a + b built afresh, costs
+# 0.011 us * n^(1/3): 8.5, 8.7, 9.0, 9.6, 10.9 and 19.5 us at n = 0, 1e4,
+# 1e5, 9e5, 1e7 and 1e9, against 8.4, 8.8, 8.9, 9.6, 13 and 32 to 35 us
+# measured (verify(represent(form, n)) averaged over the five forms, 256
+# values each), and 0.25 and 3.6 ms against 0.24 to 0.29 and 3.3 to 3.8 ms
+# at 1e13 and 2^55.  It is nearly flat below 1e6, where three_squares reads
+# most two-square remainders from its table, and grows as about n^0.27 from
+# 1e9 to 2^55, where the two-square scan visits only the a that can leave a
+# square mod 256, between bounds computed once per remainder; no
+# c0 + c1 * n^(1/3) fits both ends within a third, and this one underprices
+# 1e9 by about two fifths.  An exists hit near n, which the walk finds
+# within a few outer values, costs 0.9 to 1.9 us * n^(1/4) averaged over
+# the catalog's in-domain values (12 to 22 us at 1.65e4, 28 to 39 us at
+# 1e6, 87 to 101 us at 1e8, 0.29 to 0.32 ms at 1e10, 1.0 to 1.4 ms at
+# 1e12).  A window up to hi, its pair a + b built afresh, costs
 # 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75: sqrt(hi) shift-ORs of hi-bit
 # integers, each dearer per bit once they outgrow the caches.  That is
 # within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms
@@ -104,7 +105,7 @@ MAX_WINDOW_HI = 1 << 26
 # A window whose pair the scan built for the entry before it costs less, so
 # the window price is an upper bound.
 CONSTRUCTIVE_S = 8.5e-6
-CONSTRUCTIVE_ROOT3_S = 0.018e-6
+CONSTRUCTIVE_ROOT3_S = 0.011e-6
 EXISTS_HIT_S = 1.5e-6
 WINDOW_ROOT_S = 2.5e-6
 WINDOW_POW_S = 2.5e-12
@@ -112,8 +113,12 @@ WINDOW_POW_S = 2.5e-12
 # A forked pool of two workers took 13 ms to start and stop in a warm
 # process and about 40 ms in a fresh one, which first imports
 # multiprocessing (30 ms), so 20 ms lies between; each unit it carries added
-# 0.22 ms (same VM, median of 7, 2 to 1000 one-value units).
+# 0.22 ms (same VM, median of 7, 2 to 1000 one-value units).  Where the
+# platform cannot fork, workers are spawned: each starts an interpreter and
+# imports mixedsums, and two took 153 to 160 ms in a warm process and 284 ms
+# in a fresh one (get_context("spawn"), median of 7), so 200 ms lies between.
 POOL_START_S = 0.02
+POOL_SPAWN_S = 0.2
 POOL_UNIT_S = 0.22e-3
 
 DOMAINS = ("all", "positive", "positive_odd")
@@ -325,6 +330,13 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _can_fork() -> bool:
+    """Whether pool workers can be forked.  Windows, the one platform whose
+    multiprocessing offers no "fork" start method, has no os.fork; asking os
+    loads no multiprocessing, which a one-process scan never needs."""
+    return hasattr(os, "fork")
+
+
 def _pool_size(jobs: int, units: int) -> int:
     """Worker processes for a scan: never more than the units or the CPUs."""
     return min(jobs, units, _usable_cpus())
@@ -333,16 +345,18 @@ def _pool_size(jobs: int, units: int) -> int:
 def _plan_workers(jobs: int, units: Sequence[_Unit]) -> int:
     """The workers to start for these units; 1 runs them all in this process.
 
-    A pool is estimated to take POOL_START_S, POOL_UNIT_S per unit and the
-    longer of its workers' even share of the work and the dearest unit.  It
-    is started only when that beats the work's estimate here.
+    A pool is estimated to take POOL_START_S (POOL_SPAWN_S where the
+    platform cannot fork), POOL_UNIT_S per unit and the longer of its
+    workers' even share of the work and the dearest unit.  It is started
+    only when that beats the work's estimate here.
     """
     workers = _pool_size(jobs, len(units))
     if workers < 2:
         return 1
     costs = [_price(path, lo, hi) for _, path, lo, hi in units]
     here = sum(costs)
-    pooled = POOL_START_S + POOL_UNIT_S * len(units) + max(here / workers, max(costs))
+    start = POOL_START_S if _can_fork() else POOL_SPAWN_S
+    pooled = start + POOL_UNIT_S * len(units) + max(here / workers, max(costs))
     return workers if pooled < here else 1
 
 
@@ -377,9 +391,9 @@ def _run_scans(
             # forked where the platform can fork, whatever its default: a
             # forked worker starts as cheaply as POOL_START_S prices it and
             # sees this process's modules as they stand (fork copies only the
-            # calling thread, and the scan starts no other)
-            fork = "fork" in multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork") if fork else None
+            # calling thread, and the scan starts no other); spawned, as
+            # POOL_SPAWN_S prices it, elsewhere
+            context = multiprocessing.get_context("fork" if _can_fork() else "spawn")
             with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
                 ran = dict(zip(run, pool.map(_scan_unit, run)))
         else:

@@ -11,12 +11,17 @@ one.  The search therefore runs on m with its factors of 4 stripped and
 scales the triple back.  Two-square remainders below 2^16 are read from a
 table built at import.  Larger ones are found by a downward scan over a,
 which visits only the a whose residue mod 128 can leave a square mod 256.
+The scan runs from isqrt(m) to the least a with 2a^2 >= m (so b <= a), in
+blocks of 128 a; both bounds are computed once, and only the two blocks
+that hold them are clipped, so the blocks between test no bound per a.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isqrt
+from operator import neg
 
 from .arith import _check_natural, is_three_square_feasible
 
@@ -82,14 +87,19 @@ def two_squares(m: int) -> tuple[int, int] | None:
     if not residues:
         return None
     top = isqrt(m)
-    # blocks of 128 from the one holding isqrt(m) down; a descends throughout
-    for base in range(top & ~127, -1, -128):
-        for r in residues:
+    least = isqrt((m - 1) // 2) + 1  # the smallest a with 2a^2 >= m, so b <= a
+    high, low = top & ~127, least & ~127
+    # blocks of 128 from the one holding top down to the one holding least;
+    # a descends throughout, and only those two blocks are clipped
+    for base in range(high, low - 1, -128):
+        rs = residues
+        if base == high or base == low:
+            # keep least <= base + r <= top: the listed r descend, so -r
+            # ascends from base - top to base - least
+            first = bisect_left(rs, base - top, key=neg)
+            rs = rs[first : bisect_right(rs, base - least, first, key=neg)]
+        for r in rs:
             a = base + r
-            if a > top:
-                continue
-            if 2 * a * a < m:  # b would exceed a
-                return None
             b2 = m - a * a
             b = isqrt(b2)
             if b * b == b2:

@@ -282,6 +282,21 @@ def test_wide_constructive_scan_starts_a_pool(monkeypatch):
     assert _strip_wall(pooled) == _strip_wall(base)
 
 
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork to take away")
+def test_scan_that_cannot_fork_prices_a_spawned_pool(monkeypatch):
+    # five constructive units of 2048 values near 9e5, priced at about 0.1 s:
+    # a forked pool pays for itself at --jobs 2, a spawned one does not
+    monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
+    units = [(e, "constructive", 900_000, 902_047) for e in catalog_entries("theorem2")]
+    assert 0.08 < sum(sv._price(*unit[1:]) for unit in units) < 0.12
+    assert sv._can_fork() and sv._plan_workers(2, units) == 2
+    monkeypatch.delattr(os, "fork")
+    assert not sv._can_fork() and sv._plan_workers(2, units) == 1
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    reports = verify_theorem2_range(900_000, 902_047, jobs=2)
+    assert [r.verified_count for r in reports] == [2048] * 5
+
+
 @pytest.mark.parametrize(
     "entries, hi, workers",
     [(CATALOG, 40_000, 1), (CATALOG, 262_143, 2), ((sv._CONTROL,), 100_000, 1)],

@@ -66,6 +66,68 @@ def test_two_squares_scan_covers_every_class_mod_256():
         assert two_squares(m) == max_a_two_squares(m), m
 
 
+def _bounds(m):
+    """The scan's first and last candidate a: isqrt(m), and the least a
+    with 2a^2 >= m."""
+    return isqrt(m), isqrt((m - 1) // 2) + 1
+
+
+@pytest.mark.parametrize(
+    "ms, case",
+    [
+        # isqrt(m) = 383 and least = 271 or 272: both in the block of 256
+        (range(383**2, 384**2), lambda top, least: top >> 7 == least >> 7),
+        # isqrt(m) = 400 (block 384), least = 283 or 284 (block 256)
+        (range(400**2, 401**2), lambda top, least: top >> 7 == (least >> 7) + 1),
+        # isqrt(m) on a block's first a (512) and on its last (511)
+        (range(512**2, 513**2), lambda top, least: top & 127 == 0),
+        (range(511**2, 512**2), lambda top, least: top & 127 == 127),
+        # least on a block's first a (384) and on its last (383)
+        (range(2 * 383**2 + 1, 2 * 384**2 + 1), lambda top, least: least & 127 == 0),
+        (range(2 * 382**2 + 1, 2 * 383**2 + 1), lambda top, least: least & 127 == 127),
+    ],
+    ids=["one-block", "adjacent-blocks", "top-first", "top-last", "least-first", "least-last"],
+)
+def test_two_squares_scan_clips_its_first_and_last_block(monkeypatch, ms, case):
+    # the scan clips only the blocks holding isqrt(m) and least; every m of
+    # each range puts a bound where the case says.  Past its two bounds the
+    # scan takes one root per listed a it visits, from isqrt(m) down to the
+    # answer, or on a miss to least and no further
+    roots = 0
+
+    def counting_isqrt(n):
+        nonlocal roots
+        roots += 1
+        return isqrt(n)
+
+    monkeypatch.setattr(ts, "isqrt", counting_isqrt)
+    for m in ms:
+        top, least = _bounds(m)
+        assert m > 1 << 16 and case(top, least), m
+        roots = 0
+        pair = two_squares(m)
+        assert pair == max_a_two_squares(m), m
+        listed = ts._SCAN_RESIDUES[m & 255]
+        visited = range(pair[0] if pair else least, top + 1)
+        assert roots == (2 + sum(a & 127 in listed for a in visited) if listed else 0), m
+
+
+# k with no prime factor 1 mod 4, so (k, k) is the only split of 2k^2;
+# 383 and 384 end and start a block, 2688 = 21 * 128 starts one too
+@pytest.mark.parametrize("k", [256, 383, 384, 2187, 2688, 4389])
+def test_two_squares_of_twice_a_square_is_the_least_a(k):
+    m = 2 * k * k
+    assert _bounds(m)[1] == k
+    assert two_squares(m) == (k, k) == max_a_two_squares(m)
+
+
+@pytest.mark.parametrize("k", [257, 383, 384, 511, 512, 1000, 10**5])
+def test_two_squares_of_a_square_has_b_zero(k):
+    m = k * k
+    assert _bounds(m)[0] == k
+    assert two_squares(m) == (k, 0) == max_a_two_squares(m)
+
+
 class _CountingInt(int):
     """An int that counts the subtractions m - x made from it."""
 
