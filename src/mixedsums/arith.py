@@ -40,18 +40,6 @@ def triangular(i: int) -> int:
     return i * (i + 1) // 2
 
 
-def strip_fours(m: int) -> tuple[int, int]:
-    """Write m = 4**k * core with core not divisible by 4; returns (k, core)."""
-    _check_natural(m)
-    if m == 0:
-        raise ValueError("strip_fours requires m >= 1")
-    k = 0
-    while m % 4 == 0:
-        m //= 4
-        k += 1
-    return k, m
-
-
 def is_three_square_feasible(m: int) -> bool:
     """True iff m is a sum of three integer squares.
 
@@ -61,5 +49,5 @@ def is_three_square_feasible(m: int) -> bool:
     _check_natural(m)
     if m == 0:
         return True
-    _, core = strip_fours(m)
-    return core % 8 != 7
+    t = (m & -m).bit_length() - 1  # 2^t is m's lowest set bit
+    return (m >> (t & ~1)) & 7 != 7  # shifting by t's even part strips every 4

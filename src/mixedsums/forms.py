@@ -39,6 +39,11 @@ class MixedForm(enum.Enum):
     THREE_X2_2T_T = "3x2+2t+t"  # 3x^2 + 2 t_y + t_z
     FOUR_X2_2T_T = "4x2+2t+t"  # 4x^2 + 2 t_y + t_z
 
+    # Members are singletons (pickle and MixedForm(value) return the member
+    # itself), so identity hashing is consistent with equality; it keeps the
+    # per-value table lookups in C, where Enum.__hash__ is Python code
+    __hash__ = object.__hash__
+
     @classmethod
     def _missing_(cls, value: object) -> MixedForm:
         # the one message for every unknown name: CLI tokens, spellings
@@ -68,13 +73,15 @@ def _row(table: dict, form: MixedForm) -> tuple:
 
 def evaluate(form: MixedForm, x: int, y: int, z: int) -> int:
     """Evaluate the form at an integer witness triple (exact)."""
-    total = 0
-    for (c, kind), i in zip(_row(FORM_TERMS, form), (x, y, z)):
-        total += c * (i * i if kind == "sq" else triangular(i))
-    return total
+    (cx, kx), (cy, ky), (cz, kz) = _row(FORM_TERMS, form)
+    return (
+        cx * (x * x if kx == "sq" else triangular(x))
+        + cy * (y * y if ky == "sq" else triangular(y))
+        + cz * (z * z if kz == "sq" else triangular(z))
+    )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Certificate:
     """An explicit witness that evaluate(form, x, y, z) == n.
 
@@ -190,6 +197,8 @@ _RECIPES = {
 
 
 def _check_request(n: int) -> None:
+    if type(n) is not int:  # bool too: a certificate's n is a JSON integer
+        raise TypeError(f"n must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"n must be a natural number, got {n}")
     if n > REPRESENT_MAX:
@@ -214,12 +223,16 @@ def represent(form: MixedForm, n: int) -> Certificate:
     if recipe.mod3:
         comps = align_mod3(rep.x, rep.y, rep.z)
     else:
-        comps = tuple(c if c % 4 == 1 else -c for c in (rep.x, rep.y, rep.z))
+        x, y, z = rep.x, rep.y, rep.z
+        comps = (x if x % 4 == 1 else -x, y if y % 4 == 1 else -y, z if z % 4 == 1 else -z)
     for x, y, z in permutations(comps):
         if recipe.slots(x, y, z):
             break
     else:
         raise AssertionError(f"construction broke: no order of {comps} fits {form.value}")
     s, u, v = jacobi_transform(x, y, z)
-    x0, y0, z0 = (_exact_div(a * s + b * u + c * v + d, q) for a, b, c, d, q in recipe.rows)
+    (a0, b0, c0, d0, q0), (a1, b1, c1, d1, q1), (a2, b2, c2, d2, q2) = recipe.rows
+    x0 = _exact_div(a0 * s + b0 * u + c0 * v + d0, q0)
+    y0 = _exact_div(a1 * s + b1 * u + c1 * v + d1, q1)
+    z0 = _exact_div(a2 * s + b2 * u + c2 * v + d2, q2)
     return Certificate(form, n, x0, y0, z0)

@@ -123,6 +123,9 @@ def spec_of(name: str) -> FormSpec:
 
 def check_range(lo: int, hi: int) -> None:
     """Reject a range [lo, hi] that is empty or outside the naturals."""
+    for name, value in (("lo", lo), ("hi", hi)):
+        if type(value) is not int:  # bool too: it would be reported as True
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     _check_natural(lo, "lo")
     _check_natural(hi, "hi")
     if lo > hi:

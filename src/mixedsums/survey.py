@@ -82,21 +82,28 @@ DEFAULT_CHUNK = 1 << 14
 MAX_WINDOW_HI = 1 << 26
 
 # The estimated cost of a unit, in seconds; see _price.  Measured on a
-# 2-core x86 VM, Python 3.11.  A constructive value n costs 8.5 us plus
-# 0.011 us * n^(1/3): 8.5, 8.7, 9.0, 9.6, 10.9 and 19.5 us at n = 0, 1e4,
-# 1e5, 9e5, 1e7 and 1e9, against 8.4, 8.8, 8.9, 9.6, 13 and 32 to 35 us
-# measured (verify(represent(form, n)) averaged over the five forms, 256
-# values each), and 0.25 and 3.6 ms against 0.24 to 0.29 and 3.3 to 3.8 ms
-# at 1e13 and 2^55.  It is nearly flat below 1e6, where three_squares reads
-# most two-square remainders from its table, and grows as about n^0.27 from
-# 1e9 to 2^55, where the two-square scan visits only the a that can leave a
-# square mod 256, between bounds computed once per remainder; no
-# c0 + c1 * n^(1/3) fits both ends within a third, and this one underprices
-# 1e9 by about two fifths.  An exists hit near n, which the walk finds
-# within a few outer values, costs 0.9 to 1.9 us * n^(1/4) averaged over
-# the catalog's in-domain values (12 to 22 us at 1.65e4, 28 to 39 us at
-# 1e6, 87 to 101 us at 1e8, 0.29 to 0.32 ms at 1e10, 1.0 to 1.4 ms at
-# 1e12).  A window up to hi, its pair a + b built afresh, costs
+# 2-core x86 VM, Python 3.11.  A constructive value n is priced at 8.5 us
+# plus 0.011 us * n^(1/3): 8.5, 8.7, 9.0, 9.6, 10.9 and 19.5 us at n = 0,
+# 1e4, 1e5, 9e5, 1e7 and 1e9, and 0.25 and 3.6 ms at 1e13 and 2^55.
+# verify(represent(form, n)), averaged over the five forms, 256 values
+# each, measured 5.9, 6.3, 6.9, 6.7, 9.5 and 27 us there, and 0.22 to 0.26
+# and 3.1 to 3.6 ms.  Below 1e7 that is about 1.3 us a value under the
+# 7.2, 7.6, 8.7, 8.0, 10.8 and 29 us the same runs read before slotted
+# certificates and identity-hashed forms, so the flat part is overpriced
+# by about a third.  It is kept because it is what starts a pool for five
+# 1024-value units (priced 2% over the pool at n < 1024); a refit to these
+# figures would run such scans in one process, where five near 9.3e5 read
+# 40 ms against 36 ms pooled (median of 40, alternating).  A refit
+# re-measures POOL_START_S warm too.  The cost is nearly flat below 1e6,
+# where three_squares reads most two-square remainders from its table,
+# and grows as about n^0.27 from 1e9 to 2^55, where the two-square scan
+# visits only the a that can leave a square mod 256, between bounds
+# computed once per remainder; no c0 + c1 * n^(1/3) fits both ends within
+# a third, and this one underprices 1e9 by about a quarter.  An exists hit
+# near n, which the walk finds within a few outer values, costs 0.9 to
+# 1.9 us * n^(1/4) averaged over the catalog's in-domain values (12 to
+# 22 us at 1.65e4, 28 to 39 us at 1e6, 87 to 101 us at 1e8, 0.29 to
+# 0.32 ms at 1e10, 1.0 to 1.4 ms at 1e12).  A window up to hi, its pair a + b built afresh, costs
 # 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75: sqrt(hi) shift-ORs of hi-bit
 # integers, each dearer per bit once they outgrow the caches.  That is
 # within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms

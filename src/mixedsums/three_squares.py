@@ -67,7 +67,7 @@ class NotRepresentableError(ValueError):
     """The number is of the excluded 4**k (8l+7) shape."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThreeSquareRep:
     """m = x*x + y*y + z*z with x >= y >= z >= 0."""
 

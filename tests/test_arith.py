@@ -8,7 +8,6 @@ from mixedsums.arith import (
     INT64_MAX,
     WidthError,
     is_three_square_feasible,
-    strip_fours,
     triangular,
 )
 
@@ -37,24 +36,14 @@ def test_triangular_width_guard():
             triangular(bad)
 
 
-@pytest.mark.parametrize(
-    "m,expected",
-    [(7, (0, 7)), (28, (1, 7)), (48, (2, 3)), (1, (0, 1)), (4, (1, 1)), (96, (2, 6))],
-)
-def test_strip_fours_values(m, expected):
-    assert strip_fours(m) == expected
-
-
-def test_strip_fours_rejects_zero():
-    with pytest.raises(ValueError):
-        strip_fours(0)
-
-
-@given(st.integers(min_value=1, max_value=10**9))
-def test_strip_fours_reassembles(m):
-    k, core = strip_fours(m)
-    assert 4**k * core == m
-    assert core % 4 != 0
+@given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=0, max_value=15))
+def test_feasibility_strips_fours(m, k):
+    # the classifier strips factors of 4 with shifts; 4^k * m is excluded
+    # exactly when m, stripped by division, is 7 mod 8
+    core = m
+    while core % 4 == 0:
+        core //= 4
+    assert is_three_square_feasible(4**k * m) == (core % 8 != 7)
 
 
 def test_feasibility_against_sieve():

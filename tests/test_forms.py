@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 import mixedsums
 from mixedsums.arith import REPRESENT_MAX, WidthError
 from mixedsums.forms import (
+    FORM_TERMS as LIBRARY_FORM_TERMS,
     Certificate,
     MixedForm,
     evaluate,
@@ -94,6 +98,11 @@ def test_represent_is_deterministic():
 def test_request_bounds():
     with pytest.raises(ValueError):
         represent(MixedForm.X2_3Y2_T, -1)
+    # True would become "n":true in the certificate's JSON, which from_json
+    # rejects; 5.0 would reach the bit arithmetic of three_squares
+    for bad in (True, False, 5.0, "5"):
+        with pytest.raises(TypeError, match="^n must be an int"):
+            represent(MixedForm.X2_3Y2_T, bad)
     for form in MixedForm:
         with pytest.raises(WidthError):
             represent(form, REPRESENT_MAX + 1)
@@ -228,6 +237,30 @@ def test_certificate_json_fuzz(text):
     except ValueError:
         return
     assert Certificate.from_json(cert.to_json()) == cert
+
+
+def test_certificate_is_frozen_and_survives_copy_and_pickle():
+    cert = represent(MixedForm.X2_3T_T, 91)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cert.n = 92
+    copies = [copy.copy(cert), copy.deepcopy(cert)]
+    copies += [pickle.loads(pickle.dumps(cert, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies:
+        assert again == cert and hash(again) == hash(cert)
+        assert again.form is cert.form and verify(again)
+
+
+def test_form_members_key_the_tables_after_pickle():
+    # forms hash by identity, so a form that came back as another object
+    # would miss its row
+    for form in MixedForm:
+        for again in (
+            MixedForm(form.value),
+            copy.deepcopy(form),
+            *(pickle.loads(pickle.dumps(form, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)),
+        ):
+            assert again is form and hash(again) == hash(form)
+            assert LIBRARY_FORM_TERMS[again] == FORM_TERMS[form]
 
 
 def test_certificate_json_field_order():

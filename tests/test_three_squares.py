@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
 from math import isqrt
 
 import pytest
@@ -251,6 +254,17 @@ def test_three_squares_matches_reference_scan_near_ceiling(n):
     m = 24 * n + 3
     rep = three_squares(m)
     assert (rep.x, rep.y, rep.z) == max_three_squares(m)
+
+
+def test_rep_is_frozen_and_survives_copy_and_pickle():
+    rep = three_squares(10**6 + 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rep.x = 0
+    copies = [copy.copy(rep), copy.deepcopy(rep)]
+    copies += [pickle.loads(pickle.dumps(rep, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for again in copies:
+        assert again == rep and hash(again) == hash(rep)
+        assert (again.m, again.x, again.y, again.z) == (rep.m, rep.x, rep.y, rep.z)
 
 
 def test_two_squares_rejects_negative():
