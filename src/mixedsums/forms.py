@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Callable, NamedTuple
 
-from .arith import REPRESENT_MAX, WidthError, triangular
+from .arith import REPRESENT_MAX, _check_natural, triangular
 from .jacobi import align_mod3, jacobi_transform
 from .three_squares import three_squares
 
@@ -196,15 +196,6 @@ _RECIPES = {
 }
 
 
-def _check_request(n: int) -> None:
-    if type(n) is not int:  # bool too: a certificate's n is a JSON integer
-        raise TypeError(f"n must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"n must be a natural number, got {n}")
-    if n > REPRESENT_MAX:
-        raise WidthError(f"n={n} exceeds the supported ceiling 2^55")
-
-
 def _exact_div(num: int, den: int) -> int:
     q, r = divmod(num, den)
     if r:
@@ -215,7 +206,7 @@ def _exact_div(num: int, den: int) -> int:
 def represent(form: MixedForm, n: int) -> Certificate:
     """Constructive witness for n under the given form (always succeeds)."""
     recipe = _row(_RECIPES, form)
-    _check_request(n)
+    _check_natural(n, "n", REPRESENT_MAX)
     # three_squares, align_mod3 and jacobi_transform are looked up in the
     # module globals at each call, never stored in _RECIPES, so tracing and
     # tests can rebind them

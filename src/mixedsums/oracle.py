@@ -123,9 +123,6 @@ def spec_of(name: str) -> FormSpec:
 
 def check_range(lo: int, hi: int) -> None:
     """Reject a range [lo, hi] that is empty or outside the naturals."""
-    for name, value in (("lo", lo), ("hi", hi)):
-        if type(value) is not int:  # bool too: it would be reported as True
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     _check_natural(lo, "lo")
     _check_natural(hi, "hi")
     if lo > hi:
@@ -169,10 +166,16 @@ def _slot_indices(term: Term, budget: int) -> Iterator[tuple[int, int]]:
     return ((i, c * (i * (i + 1) // 2)) for i in range(-top - 1, top + 1))
 
 
+def _terms(spec: FormSpec) -> tuple[Term, Term, Term]:
+    if not isinstance(spec, FormSpec):
+        raise TypeError(f"spec must be a FormSpec, got {type(spec).__name__}; see spec_of")
+    return spec.terms
+
+
 def _by_density(spec: FormSpec) -> list[Term]:
     """The slots, the one with the most values first (c*t_i has as many
     values as 2c*x^2)."""
-    return sorted(spec.terms, key=lambda t: t.coeff * (2 if t.kind == "sq" else 1))
+    return sorted(_terms(spec), key=lambda t: t.coeff * (2 if t.kind == "sq" else 1))
 
 
 def _third_indices(term: Term, value: int) -> tuple[int, ...]:
@@ -251,12 +254,9 @@ def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
 MAX_ENUMERATED_N = 10**6
 
 
-def _check_enumerable(n: int) -> None:
-    _check_natural(n, "n")
-    if n > MAX_ENUMERATED_N:
-        raise ValueError(
-            f"n={n} is above {MAX_ENUMERATED_N}, the largest n count and witnesses enumerate"
-        )
+def _check_enumerable(n: int, what: str) -> None:
+    if _check_natural(n, what) > MAX_ENUMERATED_N:
+        raise ValueError(f"{what}={n} is above {MAX_ENUMERATED_N}, the largest n enumerated")
 
 
 def count(spec: FormSpec, n: int) -> int:
@@ -264,7 +264,7 @@ def count(spec: FormSpec, n: int) -> int:
 
     n may not exceed MAX_ENUMERATED_N.
     """
-    _check_enumerable(n)
+    _check_enumerable(n, "n")
     c, b, a = _by_density(spec)
     # a value's index multiplicity: 1 for the square 0, 2 for every other
     # value (x and -x, or i and -i-1)
@@ -364,19 +364,19 @@ def witnesses(spec: FormSpec, n: int, limit: int) -> WitnessList:
     exactly; that makes the output order lexicographic without a sort.
     n may not exceed MAX_ENUMERATED_N.
     """
-    _check_enumerable(n)
-    if limit < 1:
+    _check_enumerable(n, "n")
+    if _check_natural(limit, "limit") < 1:
         raise ValueError(f"limit must be at least 1, got {limit}")
-    t0, t1, t2 = spec.terms
+    t0, t1, t2 = _terms(spec)
     triples = (
         (i0, i1, i2)
         for i0, v0 in _slot_indices(t0, n)
         for i1, v1 in _slot_indices(t1, n - v0)
         for i2 in _third_indices(t2, n - v0 - v1)
     )
+    found = tuple(islice(triples, limit))
     # one witness past the cap tells whether the list was truncated
-    found = tuple(islice(triples, limit + 1))
-    return WitnessList(spec, n, limit, found[:limit], len(found) > limit)
+    return WitnessList(spec, n, limit, found, next(triples, None) is not None)
 
 
 def exists_constrained_two_squares_triangular(n: int) -> bool:

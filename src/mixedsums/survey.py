@@ -41,7 +41,7 @@ is the one exception: only its first counterexample is judged pointwise,
 since `negative_control` compares every n of its range with the numbers
 4^k(8l+7), enumerated directly and each judged by an independent
 classifier.  Any disagreement raises AssertionError.  The negative control
-refuses hi above `oracle.MAX_ENUMERATED_N`, which bounds its first miss.
+shares `count`'s cap on n (`oracle._check_enumerable`) for its hi.
 """
 
 from __future__ import annotations
@@ -54,12 +54,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
-from .arith import is_three_square_feasible
+from .arith import _check_natural, is_three_square_feasible
 from .forms import MixedForm, represent, verify
 from .oracle import (
-    MAX_ENUMERATED_N,
     FormSpec,
     _by_density,
+    _check_enumerable,
     check_range,
     constrained_two_squares_triangular_window,
     exists,
@@ -378,7 +378,7 @@ def _run_scans(
     entries: Sequence[CatalogEntry], mode: str, lo: int, hi: int, jobs: int
 ) -> list[RangeReport]:
     check_range(lo, hi)
-    if jobs < 1:
+    if _check_natural(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     # a scan whose every entry sieves the whole range is one unit per entry,
     # any other one unit per chunk
@@ -458,13 +458,10 @@ def negative_control(lo: int, hi: int, jobs: int = 1) -> RangeReport:
     of those and admit the first n of every block unless it is one of them.
     A disagreement raises AssertionError, as every failed internal check
     does, under python -O too.  The scan is always one sieved window, however
-    narrow.  Its first counterexample is an O(lo) exists miss, so hi may not
-    exceed MAX_ENUMERATED_N.
+    narrow.  Its first counterexample is an O(lo) exists miss, so hi is
+    capped by oracle._check_enumerable, as count's and witnesses' n are.
     """
-    if hi > MAX_ENUMERATED_N:
-        raise ValueError(
-            f"hi={hi} is above {MAX_ENUMERATED_N}, the largest n the negative control scans"
-        )
+    _check_enumerable(hi, "hi")
     report = _run_scans([_CONTROL], "oracle", lo, hi, jobs)[0]
     # the excluded n, enumerated as one range of step 8p for each p = 4^k
     expected, p = [], 1

@@ -79,7 +79,7 @@ class ThreeSquareRep:
 
 def two_squares(m: int) -> tuple[int, int] | None:
     """m = a*a + b*b with a >= b >= 0 and a maximal, or None if impossible."""
-    _check_natural(m)  # first: a negative m would index the table from its end
+    _check_natural(m, "m")  # first: a negative m would index the table from its end
     if m < _TABLE_BOUND:
         a = _MAX_A[m]
         return (a, isqrt(m - a * a)) if a or not m else None

@@ -213,7 +213,10 @@ def test_bad_ranges_rejected():
     with pytest.raises(ValueError):
         verify_theorem2_range(0, 10, mode="psychic")
     # a bool bound would be reported as lo=True; a float reaches range()
-    for lo, hi, name in ((True, 3, "lo"), (0, 5.0, "hi"), (0, False, "hi")):
+    for lo, hi, name in (
+        (True, 3, "lo"), (5.0, 6, "lo"), ("0", 5, "lo"),
+        (0, 5.0, "hi"), (0, False, "hi"), (0, True, "hi"), (0, "5", "hi"),
+    ):
         with pytest.raises(TypeError, match=f"^{name} must be an int"):
             verify_theorem2_range(lo, hi)
     with pytest.raises(ValueError):
