@@ -300,6 +300,21 @@ def _pair_sumset(first: Term, second: Term, hi: int) -> int:
     return _shifted_union(_bits(_values(first, hi), hi), _values(second, hi), 0, hi)
 
 
+# A window holds several bitsets of up to hi bits at once (the pair sumset,
+# the window, shift-OR temporaries and, in a scan, the domain mask): a sieved
+# scan unit's peak RSS grew by 9.6, 19, 38 and 77 MB for [0, hi] at hi =
+# 2^23, 2^24, 2^25 and 2^26 (about 1.15 bytes per value; 1*sq+1*sq+1*tri on
+# a 2-core x86 VM, Python 3.11), and the unit took 151 s at 2^26.  So both
+# windows refuse hi above MAX_WINDOW_HI, about 77 MB.
+MAX_WINDOW_HI = 1 << 26
+
+
+def _check_window(lo: int, hi: int) -> None:
+    check_range(lo, hi)
+    if hi > MAX_WINDOW_HI:
+        raise ValueError(f"hi={hi} is above {MAX_WINDOW_HI}, the largest window hi")
+
+
 # The last pair sumset representable_window built, as ((first, second, hi),
 # bitset), or None: a scan that runs the term lists sharing a pair one after
 # the other builds that pair once.  forget_pair drops it.
@@ -319,10 +334,10 @@ def representable_window(spec: FormSpec, lo: int, hi: int) -> int:
     O(sqrt(hi)) shift-ORs of (hi + 1)-bit integers whatever the width.
     The densest slot a becomes the shifted bitset and the sparser b and c
     supply the shifts: (a + b) + c.  The pair a + b is reused when the last
-    call built the same one.
+    call built the same one.  hi may not exceed MAX_WINDOW_HI.
     """
     global _last_pair
-    check_range(lo, hi)
+    _check_window(lo, hi)
     a, b, c = _by_density(spec)
     key = (a, b, hi)
     if _last_pair is None or _last_pair[0] != key:
@@ -336,9 +351,9 @@ def constrained_two_squares_triangular_window(lo: int, hi: int) -> int:
 
     Split by parity: x^2 + y^2 with x, y of opposite parity is the sumset of
     the even and the odd squares, x = y > 0 adds 2x^2, and every triangular
-    number shifts the union.
+    number shifts the union.  hi may not exceed MAX_WINDOW_HI.
     """
-    check_range(lo, hi)
+    _check_window(lo, hi)
     squares = list(_values(Term(1, "sq"), hi))
     pairs = _shifted_union(_bits(squares[0::2], hi), squares[1::2], 0, hi)
     pairs |= _bits((2 * s for s in squares[1:] if 2 * s <= hi), hi)
@@ -379,6 +394,11 @@ def witnesses(spec: FormSpec, n: int, limit: int) -> WitnessList:
     return WitnessList(spec, n, limit, found, next(triples, None) is not None)
 
 
+# _walk's slots for t_i + 4u^2 + 8t_v, parsed and sorted once: the sparsest
+# outermost, the densest looked up, as in exists
+_ODD_SLOTS = tuple(reversed(_by_density(parse_form_spec("1*tri+4*sq+8*tri"))))
+
+
 def exists_constrained_two_squares_triangular(n: int) -> bool:
     """True iff n = t_i + x^2 + y^2 with x, y of opposite parity or x = y > 0.
 
@@ -405,5 +425,4 @@ def exists_constrained_two_squares_triangular(n: int) -> bool:
                 return True
     # then every odd r, so the answer stays exact: r = (2u)^2 + (2v+1)^2
     # exactly when n - 1 = t_i + 4u^2 + 8t_v
-    c, b, a = _by_density(parse_form_spec("1*tri+4*sq+8*tri"))
-    return n > 0 and _walk(a, b, c, n - 1)
+    return n > 0 and _walk(*_ODD_SLOTS, n - 1)

@@ -13,20 +13,22 @@ other entry is oracle-only.  Each entry carries a status tag:
 for complete statements that are merely re-checked here, and "empirical"
 for coefficient lists whose scan is evidence, not proof.
 
-Each scan unit is planned once, with its path: "constructive" (decompose,
-then re-verify the certificate), "pointwise" (the oracle judges each n) or
-"sieved" (every verdict is read off one sumset window).  `_path` decides it
-and `_price` estimates the unit's seconds from its path and bounds alone,
-from the price list measured and commented below.  An oracle range is
-sieved when its upper bound is at most MAX_WINDOW_HI and the window prices
-below judging each n; the negative control is always one sieved window.  A
-scan whose every entry sieves the whole range runs as one unit per entry,
-any other in fixed-size chunks (default 2^14 values), one unit each.  A
-process pool of at most `jobs` workers is started only when the priced
-work, spread over the workers, saves more than the pool costs to start and
-feed; otherwise every unit runs in this process.  Unit results are merged
-in unit order, which keeps reports byte-for-byte identical whatever the
-worker count.
+Each entry of a scan is planned once, on one path: "constructive"
+(decompose, then re-verify the certificate), "pointwise" (the oracle judges
+each n) or "sieved" (every verdict is read off one sumset window).  `_path`
+decides it for the entry's whole range, and `_price` estimates a unit's
+seconds from its path and bounds alone, from the price list measured and
+commented below.  An oracle range is sieved when its upper bound is at most
+MAX_WINDOW_HI (2^26, the oracle's window bound) and the window prices below
+judging each n; the negative control is always one sieved window.  A
+sieved entry runs as one unit, any other as one unit per chunk of
+DEFAULT_CHUNK (2^14) values, and chunks widen past 2^26 values so that no
+entry plans more than MAX_UNITS (4096) units.  A process pool of at most
+`jobs` workers is started only when the priced work, spread over the
+workers, saves more than the pool costs to start and feed; otherwise every
+unit runs in this process.  Each report is merged from its own entry's
+units, in plan order, which keeps reports byte-for-byte identical whatever
+the worker count.
 
 The units run sorted, stably, by the pair of slots a sieved term list's
 window sums first, so that the oracle's one kept pair serves every entry
@@ -51,12 +53,13 @@ import os
 import re
 import time
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Sequence
+from functools import cached_property, partial
+from typing import Sequence
 
 from .arith import _check_natural, is_three_square_feasible
 from .forms import MixedForm, represent, verify
 from .oracle import (
+    MAX_WINDOW_HI,
     FormSpec,
     _by_density,
     _check_enumerable,
@@ -71,15 +74,13 @@ from .oracle import (
 
 DEFAULT_CHUNK = 1 << 14
 
-# A sieved unit holds several bitsets of up to hi bits at once (the pair
-# sumset, the window, shift-OR temporaries and the domain mask): its peak RSS
-# grew by 9.6, 19, 38 and 77 MB for [0, hi] at hi = 2^23, 2^24, 2^25 and 2^26
-# (about 1.15 bytes per value; 1*sq+1*sq+1*tri on a 2-core x86 VM, Python
-# 3.11), and the unit took 151 s at 2^26.  So a catalog range is sieved only
-# while hi <= MAX_WINDOW_HI, about 77 MB per worker, and then only where
-# _price prices the window below judging each n.  The negative control,
-# capped at MAX_ENUMERATED_N, always sieves.
-MAX_WINDOW_HI = 1 << 26
+# An entry that is not sieved is planned as at most this many chunks, so a
+# range of any width plans a bounded list: chunks are DEFAULT_CHUNK values
+# wide up to 2^26 values (MAX_WINDOW_HI) and grow past that.  A catalog
+# range is sieved only while hi <= MAX_WINDOW_HI, the oracle's window bound,
+# and then only where _price prices the window below judging each n.  The
+# negative control, capped at MAX_ENUMERATED_N, always sieves.
+MAX_UNITS = MAX_WINDOW_HI // DEFAULT_CHUNK
 
 # The estimated cost of a unit, in seconds; see _price.  Measured on a
 # 2-core x86 VM, Python 3.11.  A constructive value n is priced at 8.5 us
@@ -246,30 +247,7 @@ def _domain_values(domain: str, lo: int, hi: int) -> range:
     return range(max(lo, 1) | 1, hi + 1, 2)
 
 
-def _judges(
-    entry: CatalogEntry, path: str
-) -> tuple[Callable[[int], bool], Callable[[int, int], int] | None]:
-    """The entry's pointwise judge (n -> is n represented?) and its window
-    for an oracle path ((lo, hi) -> bitset, bit k set iff lo + k is
-    represented).
-
-    exists, represent, verify, the window and the predicate's judge and
-    window are looked up in the module globals when called, so tracing and
-    tests can rebind them.
-    """
-    if path == "constructive":
-        form = entry.form
-        return (lambda n: verify(represent(form, n))), None
-    if entry.predicate is not None:
-        return (
-            (lambda n: exists_constrained_two_squares_triangular(n)),
-            (lambda lo, hi: constrained_two_squares_triangular_window(lo, hi)),
-        )
-    spec = entry.spec
-    return (lambda n: exists(spec, n)), (lambda lo, hi: representable_window(spec, lo, hi))
-
-
-_Unit = tuple[CatalogEntry, str, int, int]  # (entry, path, lo, hi): a whole scan or one chunk
+_Unit = tuple[CatalogEntry, str, int, int]  # (entry, path, lo, hi): a whole range or one chunk
 
 
 def _price(path: str, lo: int, hi: int) -> float:
@@ -287,8 +265,8 @@ def _price(path: str, lo: int, hi: int) -> float:
 
 
 def _path(entry: CatalogEntry, mode: str, lo: int, hi: int) -> str:
-    """How a unit of entry over [lo, hi] is scanned.  An oracle unit is read
-    off a window when it is the control, or when hi <= MAX_WINDOW_HI and the
+    """How entry's scan of [lo, hi] runs.  An oracle scan is read off a
+    window when it is the control, or when hi <= MAX_WINDOW_HI and the
     window is the cheaper price; otherwise it is judged pointwise."""
     if mode == "constructive":
         return mode
@@ -300,9 +278,21 @@ def _path(entry: CatalogEntry, mode: str, lo: int, hi: int) -> str:
 
 
 def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
+    """The unit's verified count, counterexamples and wall ms.  Its judge
+    (n -> is n represented?) and window ((lo, hi) -> bitset, bit k set iff
+    lo + k is represented) are read from the module globals as it starts,
+    so tracing and tests can rebind them."""
     entry, path, lo, hi = unit
     t0 = time.perf_counter()
-    check, window = _judges(entry, path)
+    if path == "constructive":
+        form = entry.form
+        check = lambda n: verify(represent(form, n))
+    elif entry.predicate is not None:
+        check = exists_constrained_two_squares_triangular
+        window = constrained_two_squares_triangular_window
+    else:
+        check = partial(exists, entry.spec)
+        window = partial(representable_window, entry.spec)
     ns = _domain_values(entry.domain, lo, hi)
     if path != "sieved":
         bad = [n for n in ns if not check(n)]
@@ -380,12 +370,15 @@ def _run_scans(
     check_range(lo, hi)
     if _check_natural(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    # a scan whose every entry sieves the whole range is one unit per entry,
-    # any other one unit per chunk
-    whole = all(_path(e, mode, lo, hi) == "sieved" for e in entries)
-    size = hi - lo + 1 if whole else DEFAULT_CHUNK
-    chunks = [(c, min(c + size - 1, hi)) for c in range(lo, hi + 1, size)]
-    units = [(e, _path(e, mode, clo, chi), clo, chi) for e in entries for clo, chi in chunks]
+    # each entry is planned once, on one path: a sieved entry is one unit,
+    # any other one unit per chunk, at most MAX_UNITS of them
+    chunk = max(DEFAULT_CHUNK, -(-(hi - lo + 1) // MAX_UNITS))
+    plans = []
+    for entry in entries:
+        path = _path(entry, mode, lo, hi)
+        size = hi - lo + 1 if path == "sieved" else chunk
+        plans.append([(entry, path, c, min(c + size - 1, hi)) for c in range(lo, hi + 1, size)])
+    units = [unit for plan in plans for unit in plan]
     run = sorted(units, key=_shared_pair)  # so that each shared pair is built once
     workers = _plan_workers(jobs, units)
     try:
@@ -408,9 +401,8 @@ def _run_scans(
     finally:
         forget_pair()
     reports = []
-    per = len(chunks)
-    for i, entry in enumerate(entries):
-        rows = [ran[unit] for unit in units[i * per : (i + 1) * per]]
+    for entry, plan in zip(entries, plans):
+        rows = [ran[unit] for unit in plan]
         bad = tuple(n for row in rows for n in row[1])
         wall = int(round(sum(row[2] for row in rows)))
         reports.append(

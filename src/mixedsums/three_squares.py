@@ -29,19 +29,20 @@ from .arith import _check_natural, is_three_square_feasible
 _TABLE_BOUND = 1 << 16
 
 
-def _max_a_table(bound: int) -> bytearray:
-    """Entry m < bound is the largest a with m = a*a + b*b and a >= b >= 0,
-    or 0 when there is none (and at m = 0); ascending a overwrites each sum's
-    smaller a.  Built in a function: local names make it about 1 ms."""
-    table = bytearray(bound)
-    squares = [a * a for a in range(isqrt(bound - 1) + 1)]
+def _max_a_table() -> bytearray:
+    """Entry m < _TABLE_BOUND is the largest a with m = a*a + b*b and
+    a >= b >= 0, or 0 when there is none (and at m = 0); ascending a
+    overwrites each sum's smaller a.  Built in a function: local names make
+    it about 1 ms."""
+    table = bytearray(_TABLE_BOUND)
+    squares = [a * a for a in range(isqrt(_TABLE_BOUND - 1) + 1)]
     for a, a2 in enumerate(squares):
-        for b2 in squares[: min(a, isqrt(bound - 1 - a2)) + 1]:
+        for b2 in squares[: min(a, isqrt(_TABLE_BOUND - 1 - a2)) + 1]:
             table[a2 + b2] = a
     return table
 
 
-_MAX_A = _max_a_table(_TABLE_BOUND)  # a <= 255 at 2^16, so a byte holds it
+_MAX_A = _max_a_table()  # a <= 255 at 2^16, so a byte holds it
 
 
 def _scan_residues() -> tuple[tuple[int, ...], ...]:

@@ -4,8 +4,9 @@ Every integer argument is a natural number no larger than its ceiling: a
 bool, a float or a str raises TypeError naming the argument, a negative
 value raises ValueError, and one past the ceiling raises WidthError, or
 ValueError past the enumeration cap of count, witnesses and the negative
-control.  Int subclasses pass.  A spec that is not a FormSpec raises
-TypeError pointing to spec_of.
+control and past the window bound on the two windows' hi.  Each message
+names the argument, its value and the ceiling.  Int subclasses pass.  A
+spec that is not a FormSpec raises TypeError pointing to spec_of.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from mixedsums.arith import INT64_MAX, WidthError, _check_natural, is_three_squa
 from mixedsums.forms import MixedForm, represent
 from mixedsums.oracle import (
     MAX_ENUMERATED_N,
+    MAX_WINDOW_HI,
     check_range,
     constrained_two_squares_triangular_window,
     count,
@@ -47,9 +49,9 @@ CASES = {
     "check_range.lo": (lambda x: check_range(x, 10), "lo", INT64_MAX, WidthError),
     "check_range.hi": (lambda x: check_range(0, x), "hi", INT64_MAX, WidthError),
     "window.lo": (lambda x: representable_window(SPEC, x, 10), "lo", INT64_MAX, WidthError),
-    "window.hi": (lambda x: representable_window(SPEC, 0, x), "hi", INT64_MAX, WidthError),
+    "window.hi": (lambda x: representable_window(SPEC, 0, x), "hi", MAX_WINDOW_HI, ValueError),
     "predicate_window.hi": (
-        lambda x: constrained_two_squares_triangular_window(0, x), "hi", INT64_MAX, WidthError
+        lambda x: constrained_two_squares_triangular_window(0, x), "hi", MAX_WINDOW_HI, ValueError
     ),
     "verify_catalog.lo": (lambda x: verify_catalog(None, x, 10), "lo", INT64_MAX, WidthError),
     "verify_catalog.jobs": (
@@ -76,7 +78,8 @@ def test_integer_arguments_share_one_contract(case):
             call(bad)
     with pytest.raises(ValueError, match=f"^{name} must be a natural number"):
         call(-1)
-    with pytest.raises(too_large):
+    # the message names the argument, its value and the ceiling
+    with pytest.raises(too_large, match=rf"^{name}={ceiling + 1} .* {ceiling}\b"):
         call(ceiling + 1)
 
 

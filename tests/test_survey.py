@@ -383,6 +383,48 @@ def test_sieved_unit_window_is_bounded():
     assert sv._price("sieved", 0, hi) < sv._price("pointwise", 0, hi)
 
 
+def _record_units(monkeypatch):
+    """Every unit a scan plans, in run order; each is answered as clean
+    without being scanned."""
+    units = []
+
+    def recorded(unit):
+        entry, _, lo, hi = unit
+        units.append(unit)
+        return len(sv._domain_values(entry.domain, lo, hi)), [], 0.0
+
+    monkeypatch.setattr(sv, "_scan_unit", recorded)
+    return units
+
+
+def test_wide_scan_plans_a_bounded_number_of_units(monkeypatch):
+    # 2^28 values plan 4096 chunks of 2^16, not 16384 of 2^14, and 10^12 + 1
+    # values plan 4096 per entry, not 61 million
+    units = _record_units(monkeypatch)
+    (r,) = verify_theorem2_range(0, 2**28 - 1, forms=[MixedForm.X2_6T_T])
+    assert [u[1:] for u in units] == [
+        ("constructive", c, c + 2**16 - 1) for c in range(0, 2**28, 2**16)
+    ]
+    assert r.verified_count == 2**28
+    units.clear()
+    verify_catalog("theorem1_i", 0, 10**12)
+    assert len(units) == 2 * 4096
+    assert {u[1] for u in units} == {"pointwise"}
+
+
+def test_entry_is_planned_once_on_one_path(monkeypatch):
+    # from 10^6 across 2^26 the entry as a whole is judged pointwise, so
+    # every chunk is, though a chunk below about 4.6e6 alone would sieve
+    units = _record_units(monkeypatch)
+    lo = 10**6
+    hi = lo + 2**26 - 1
+    assert sv._path(_LIST, "oracle", lo, hi) == "pointwise"
+    assert sv._path(_LIST, "oracle", lo, lo + 2**14 - 1) == "sieved"
+    (r,) = sv._run_scans([_LIST], "oracle", lo, hi, 1)
+    assert units == [(_LIST, "pointwise", c, c + 2**14 - 1) for c in range(lo, hi, 2**14)]
+    assert r.verified_count == 2**26
+
+
 def test_pool_size_is_bounded(monkeypatch):
     monkeypatch.setattr(sv.os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setattr(sv.os, "cpu_count", lambda: 64)
