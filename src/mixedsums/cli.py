@@ -8,7 +8,9 @@ wall_ms is reported as 0 there (human output shows the measured value).
 
 Exit codes: 0 success, 1 a mathematical counterexample was found, 2 usage
 or input error, 3 an internal fault (a failed cross-check, which raises
-AssertionError, or any other unexpected error), printed as a traceback.
+AssertionError, or any other unexpected error), printed as a traceback,
+and 141 (128 + SIGPIPE, what a shell reports for a filter killed by a
+closed pipe) when the reader of stdout closed it first, as `| head` does.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import traceback
 from typing import Iterable, Sequence
@@ -35,7 +38,6 @@ def _add_format_flags(p: argparse.ArgumentParser) -> None:
     g = p.add_mutually_exclusive_group()
     g.add_argument("--json", action="store_const", const="json", dest="fmt")
     g.add_argument("--csv", action="store_const", const="csv", dest="fmt")
-    g.add_argument("--human", action="store_const", const="human", dest="fmt")
     p.set_defaults(fmt="human")
 
 
@@ -248,7 +250,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone, which is neither a fault nor a counterexample;
+        # stdout goes to devnull so the interpreter's exit flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OverflowError) as e:
         # covers unknown forms, parse failures, bad bounds and width errors
         print(f"error: {e}", file=sys.stderr)

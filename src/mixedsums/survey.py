@@ -88,10 +88,8 @@ MAX_UNITS = MAX_WINDOW_HI // DEFAULT_CHUNK
 # 1e4, 1e5, 9e5, 1e7 and 1e9, and 0.25 and 3.6 ms at 1e13 and 2^55.
 # verify(represent(form, n)), averaged over the five forms, 256 values
 # each, measured 5.9, 6.3, 6.9, 6.7, 9.5 and 27 us there, and 0.22 to 0.26
-# and 3.1 to 3.6 ms.  Below 1e7 that is about 1.3 us a value under the
-# 7.2, 7.6, 8.7, 8.0, 10.8 and 29 us the same runs read before slotted
-# certificates and identity-hashed forms, so the flat part is overpriced
-# by about a third.  It is kept because it is what starts a pool for five
+# and 3.1 to 3.6 ms, so below 1e7 the flat part is overpriced by about a
+# third.  It is kept because it is what starts a pool for five
 # 1024-value units (priced 2% over the pool at n < 1024); a refit to these
 # figures would run such scans in one process, where five near 9.3e5 read
 # 40 ms against 36 ms pooled (median of 40, alternating).  A refit

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mixedsums
 import mixedsums.cli as cli
 import mixedsums.survey as sv
 from mixedsums.cli import main
@@ -72,6 +77,13 @@ def test_format_flags_exclusive(capsys):
         main(["represent", "x2+3y2+t", "1", "--json", "--csv"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_human_is_the_default_not_a_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["represent", "x2+3y2+t", "1", "--human"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --human" in capsys.readouterr().err
 
 
 # ── verify-range ───────────────────────────────────────────────────────────
@@ -307,3 +319,17 @@ def test_exit_codes_never_conflated(capsys):
     for (code, out, err), message in faults:
         assert (code, out) == (3, "")
         assert "AssertionError" in err and message in err
+
+
+def test_closed_pipe_exits_141_quietly():
+    # the control's CSV row to 2*10^5 is about 215 KB, more than a pipe
+    # holds, so writing it must fail once the reader has closed the pipe
+    src = str(Path(mixedsums.__file__).parents[1])
+    with subprocess.Popen(
+        [sys.executable, "-m", "mixedsums.cli", "negative-control", "0", "200000", "--csv"],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == CSV_HEADER.encode()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")

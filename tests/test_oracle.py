@@ -123,6 +123,33 @@ def test_count_matches_naive_enumeration(spec):
         assert count(spec, n) == naive_count(spec_terms(spec), n), (str(spec), n)
 
 
+# per named form, count over [0, 300]: the mean, the minimum and every n
+# attaining it, the maximum and every n attaining it.  A minimum of at least
+# 1 is Theorem 2 on that prefix; the thinnest n are its hardest cases
+COUNT_PROFILES = {
+    "x2+3y2+t": (58.81, 2, [0], 224, [274]),
+    "x2+3t+t": (83.76, 4, [0], 336, [280]),
+    "x2+6t+t": (59.63, 4, [0, 3], 224, [295]),
+    "3x2+2t+t": (59.31, 4, [0, 1, 2, 7], 240, [258, 285]),
+    "4x2+2t+t": (51.26, 4, [0, 1, 2, 8], 160, [277]),
+}
+
+
+def test_count_profiles_of_the_named_forms():
+    profiles = {}
+    for form in MixedForm:
+        counts = [count(spec_of(form.value), n) for n in range(301)]
+        least, most = min(counts), max(counts)
+        profiles[form.value] = (
+            round(sum(counts) / len(counts), 2),
+            least,
+            [n for n, c in enumerate(counts) if c == least],
+            most,
+            [n for n, c in enumerate(counts) if c == most],
+        )
+    assert profiles == COUNT_PROFILES
+
+
 @settings(max_examples=150)
 @given(st.integers(min_value=0, max_value=3000))
 def test_exists_iff_positive_count(n):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -17,6 +18,17 @@ def test_submodules_are_not_shadowed():
     assert three_squares.three_squares(3).x == 1
     for name in mixedsums.__all__:
         assert not isinstance(getattr(mixedsums, name), types.ModuleType), name
+
+
+def test_src_has_no_assert_statement():
+    # `python -O` strips assert statements; every proof-step check raises
+    # AssertionError explicitly, so it still runs there
+    found = []
+    for path in sorted(Path(mixedsums.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 _POOL_MODULES = """

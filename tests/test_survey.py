@@ -17,7 +17,7 @@ import mixedsums
 import mixedsums.oracle as oracle
 import mixedsums.survey as sv
 from mixedsums.forms import MixedForm
-from mixedsums.oracle import MAX_ENUMERATED_N, spec_of
+from mixedsums.oracle import MAX_ENUMERATED_N, FormSpec, Term, spec_of
 from mixedsums.survey import (
     CATALOG,
     SOURCES,
@@ -121,6 +121,89 @@ def test_entry_statuses():
 def test_unknown_source_rejected():
     with pytest.raises(ValueError):
         catalog_entries("theorem3")
+
+
+# ── the "only if" half: escalation ─────────────────────────────────────────
+
+# Escalation (Bhargava 2000) over sorted coefficients: a universal form's
+# first coefficient is at most 1, the first n the empty form misses, and
+# each next one is at most the truant (the first missed n) of the slots
+# before it, since c is the least positive value of c*x^2 and of c*t_x.
+# A candidate survives when it misses no n up to ESCALATION_HI, or no odd n
+# for the x^2-only family, over Panaitopol's domain.
+ESCALATION_HI = 3000
+
+# Liouville's seven universal a*t_x + b*t_y + c*t_z
+LIOUVILLE = [
+    "1*tri+1*tri+1*tri", "1*tri+1*tri+2*tri", "1*tri+1*tri+4*tri", "1*tri+1*tri+5*tri",
+    "1*tri+2*tri+2*tri", "1*tri+2*tri+3*tri", "1*tri+2*tri+4*tri",
+]
+
+
+def _truant(terms: tuple[Term, ...], odd: bool) -> int | None:
+    """The first n in [1, ESCALATION_HI], odd n only if odd, that the one to
+    three terms miss, or None.  A missing slot is a coefficient past the
+    window, whose only value in it is 0."""
+    pad = Term(ESCALATION_HI + 1, "sq")
+    bits = oracle.representable_window(
+        FormSpec(terms + (pad,) * (3 - len(terms))), 0, ESCALATION_HI
+    )
+    return next((n for n in range(1, ESCALATION_HI + 1, 1 + odd) if not bits >> n & 1), None)
+
+
+def _escalate(kinds: tuple[str, ...], odd: bool) -> list[tuple[Term, ...]]:
+    """Every term triple with these kinds, sorted by (coeff, kind) so each
+    multiset comes once, whose coefficients escalation allows."""
+    found = []
+
+    def grow(terms: tuple[Term, ...], left: list[str]) -> None:
+        if not left:
+            found.append(terms)
+            return
+        bound = _truant(terms, odd)
+        assert bound is not None  # fewer than three slots miss early
+        for kind in dict.fromkeys(left):
+            rest = list(left)
+            rest.remove(kind)
+            for c in range(1, bound + 1):
+                if not terms or terms[-1] <= Term(c, kind):
+                    grow(terms + (Term(c, kind),), rest)
+
+    grow((), list(kinds))
+    return found
+
+
+@pytest.mark.parametrize(
+    "kinds, odd, tried, survivors",
+    [
+        (("sq", "sq", "tri"), False, 20, [e.name for e in catalog_entries("theorem1_ii")]),
+        (("sq", "tri", "tri"), False, 21, [e.name for e in catalog_entries("theorem1_iii")]),
+        (("tri", "tri", "tri"), False, 8, LIOUVILLE),
+        (("sq", "sq", "sq"), True, 10, [e.name for e in catalog_entries("panaitopol")]),
+    ],
+    ids=["sq2_tri", "sq_tri2", "tri3", "sq3_odd"],
+)
+def test_escalation_keeps_exactly_the_catalog(kinds, odd, tried, survivors):
+    candidates = _escalate(kinds, odd)
+    truants = {c: _truant(c, odd) for c in candidates}
+    assert len(candidates) == tried
+    kept = {c for c, t in truants.items() if t is None}
+    assert kept == {tuple(sorted(spec_of(name).terms)) for name in survivors}
+    # an exclusion rests on an exact miss, not on the window alone
+    for c, t in truants.items():
+        if t is not None:
+            assert not oracle.exists(FormSpec(c), t), (c, t)
+
+
+def test_escalated_triangular_forms_meet_the_theorem_of_eight():
+    # Bosma and Kane (2013): a sum of triangular numbers with positive
+    # coefficients is universal iff it represents 1, 2, 4, 5 and 8
+    verdicts = [
+        (_truant(c, False) is None, all(oracle.exists(FormSpec(c), n) for n in (1, 2, 4, 5, 8)))
+        for c in _escalate(("tri", "tri", "tri"), False)
+    ]
+    assert all(universal == eight for universal, eight in verdicts)
+    assert [universal for universal, _ in verdicts].count(False) == 1
 
 
 def test_entry_validation():
