@@ -2,15 +2,19 @@
 
 Subcommands: represent (one certificate), verify-range (the five named
 forms over a range), survey (catalog scan), count, witnesses, and
-negative-control.  Output is human text by default; --json and --csv emit
-machine formats that are byte-identical across runs and worker counts, so
-wall_ms is reported as 0 there (human output shows the measured value).
+negative-control.  represent and every constructive scan re-evaluate each
+certificate they build; one that does not give back n is an internal
+fault, since the five forms represent every n.  Output is human text by
+default; --json and --csv emit machine formats that are byte-identical
+across runs and worker counts, so wall_ms is reported as 0 there (human
+output shows the measured value).
 
-Exit codes: 0 success, 1 a mathematical counterexample was found, 2 usage
-or input error, 3 an internal fault (a failed cross-check, which raises
-AssertionError, or any other unexpected error), printed as a traceback,
-and 141 (128 + SIGPIPE, what a shell reports for a filter killed by a
-closed pipe) when the reader of stdout closed it first, as `| head` does.
+Exit codes: 0 success, 1 the oracle found a mathematical counterexample,
+2 usage or input error, 3 an internal fault (a failed cross-check, which
+raises AssertionError, or any other unexpected error), printed as a
+traceback, and 141 (128 + SIGPIPE, what a shell reports for a filter
+killed by a closed pipe) when the reader of stdout closed it first, as
+`| head` does.
 """
 
 from __future__ import annotations
@@ -62,7 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("represent", help="decompose one number under one named form")
     p.add_argument("form", help="one of " + ", ".join(FORM_NAMES))
     p.add_argument("n", type=int)
-    p.add_argument("--verify", action="store_true", help="re-check the certificate arithmetic")
     _add_format_flags(p)
     p.set_defaults(handler=_cmd_represent)
 
@@ -147,7 +150,7 @@ def _witness_line(cert: Certificate) -> str:
 def _cmd_represent(args: argparse.Namespace) -> int:
     form = MixedForm(args.form)
     cert = represent(form, args.n)
-    if args.verify and not verify(cert):
+    if not verify(cert):
         raise AssertionError(f"certificate for {form.value} n={args.n} failed re-verification")
     row = [form.value, cert.n, cert.x, cert.y, cert.z]
     line = f"{form.value}: {cert.n} = {_witness_line(cert)}"

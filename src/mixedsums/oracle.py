@@ -144,8 +144,9 @@ def _value(term: Term, i: int) -> int:
 
 
 def _values(term: Term, budget: int) -> Iterator[int]:
-    """The slot's values up to budget, ascending, each once; lazy, so a
-    caller that stops early never builds the rest."""
+    """The slot's values up to budget, ascending, each once.  Every caller
+    consumes them all; they come one at a time, so a caller that streams
+    them, as count and the shift-ORs do, holds no list of them."""
     c = term.coeff
     indices = range(_top_index(term, budget) + 1)
     if term.kind == "sq":

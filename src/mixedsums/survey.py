@@ -8,7 +8,10 @@ predicate ("mixed-parity-two-squares"), so every name but the predicate is
 also a valid `mixedsums count`/`witnesses` SPEC.  The theorem2 group holds
 the five named mixed forms, which can be scanned constructively (decompose,
 then re-verify the certificate) or through the brute-force oracle; every
-other entry is oracle-only.  Each entry carries a status tag:
+other entry is oracle-only.  A certificate that does not verify is a
+fault of the program, never a counterexample: the five forms represent
+every n, so a constructive scan raises AssertionError there, and only the
+oracle reports counterexamples.  Each entry carries a status tag:
 "constructive" when witnesses are built by the decomposers, "established"
 for complete statements that are merely re-checked here, and "empirical"
 for coefficient lists whose scan is evidence, not proof.
@@ -276,10 +279,12 @@ def _path(entry: CatalogEntry, mode: str, lo: int, hi: int) -> str:
 
 
 def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
-    """The unit's verified count, counterexamples and wall ms.  Its judge
-    (n -> is n represented?) and window ((lo, hi) -> bitset, bit k set iff
-    lo + k is represented) are read from the module globals as it starts,
-    so tracing and tests can rebind them."""
+    """The unit's verified count, counterexamples and wall ms; a
+    constructive unit has none, and raises AssertionError at the first n
+    whose certificate does not verify.  Its judge (n -> is n represented?)
+    and window ((lo, hi) -> bitset, bit k set iff lo + k is represented) are
+    read from the module globals as it starts, so tracing and tests can
+    rebind them."""
     entry, path, lo, hi = unit
     t0 = time.perf_counter()
     if path == "constructive":
@@ -294,6 +299,8 @@ def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
     ns = _domain_values(entry.domain, lo, hi)
     if path != "sieved":
         bad = [n for n in ns if not check(n)]
+        if bad and path == "constructive":
+            raise AssertionError(f"{entry.entry_id}: certificate for n={bad[0]} does not verify")
     else:
         # read every verdict off the window, n at bit n - lo: the mask sets
         # the bit of every n in ns (len(ns) ones, ns.step apart), and the

@@ -54,10 +54,12 @@ def test_represent_csv(capsys):
     assert out == "form,n,x,y,z\n4x2+2t+t,2,0,-2,0\n"
 
 
-def test_represent_verify_flag(capsys):
-    code, out, _ = run(capsys, "represent", "3x2+2t+t", "77", "--verify", "--json")
-    assert code == 0
-    assert json.loads(out)["n"] == 77
+def test_verify_is_not_a_flag(capsys):
+    # represent always re-evaluates its certificate, so there is nothing to ask for
+    with pytest.raises(SystemExit) as exc:
+        main(["represent", "3x2+2t+t", "77", "--verify", "--json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --verify" in capsys.readouterr().err
 
 
 def test_represent_unknown_form(capsys):
@@ -313,9 +315,16 @@ def test_exit_codes_never_conflated(capsys):
         faults.append((run(capsys, "negative-control", "0", "20"), "control scan found"))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "verify", lambda cert: False)
-        faults.append(
-            (run(capsys, "represent", "x2+3y2+t", "5", "--verify"), "failed re-verification")
-        )
+        faults.append((run(capsys, "represent", "x2+3y2+t", "5"), "failed re-verification"))
+    # a certificate that does not verify is a fault of the program, never a
+    # counterexample, whether the scan ran here or in a pool worker
+    with pytest.MonkeyPatch.context() as mp:
+        real = sv.verify
+        mp.setattr(sv, "verify", lambda cert: cert.n != 250 and real(cert))
+        faults.append((run(capsys, "verify-range", "0", "500"), "n=250"))
+        started = _free_pool(mp)
+        faults.append((run(capsys, "verify-range", "0", "1023", "--jobs", "2"), "n=250"))
+    assert started == [2]
     for (code, out, err), message in faults:
         assert (code, out) == (3, "")
         assert "AssertionError" in err and message in err

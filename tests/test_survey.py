@@ -233,6 +233,15 @@ def test_theorem2_constructive_range():
         assert r.counterexamples == ()
 
 
+def test_certificate_that_does_not_verify_is_a_fault(monkeypatch):
+    # the five forms represent every n, so a constructive scan reports no
+    # counterexample: a certificate that does not verify is the program's fault
+    real = sv.verify
+    monkeypatch.setattr(sv, "verify", lambda cert: cert.n not in (250, 260) and real(cert))
+    with pytest.raises(AssertionError, match=r"theorem2:x2\+6t\+t: .*n=250 does not verify"):
+        verify_theorem2_range(0, 500, forms=[MixedForm.X2_6T_T])
+
+
 def test_theorem2_modes_agree():
     cons = verify_theorem2_range(0, 250, mode="constructive")
     orc = verify_theorem2_range(0, 250, mode="oracle")
