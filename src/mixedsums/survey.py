@@ -90,18 +90,24 @@ MAX_UNITS = MAX_WINDOW_HI // DEFAULT_CHUNK
 # plus 0.011 us * n^(1/3): 8.5, 8.7, 9.0, 9.6, 10.9 and 19.5 us at n = 0,
 # 1e4, 1e5, 9e5, 1e7 and 1e9, and 0.25 and 3.6 ms at 1e13 and 2^55.
 # verify(represent(form, n)), averaged over the five forms, 256 values
-# each, measured 5.9, 6.3, 6.9, 6.7, 9.5 and 27 us there, and 0.22 to 0.26
-# and 3.1 to 3.6 ms, so below 1e7 the flat part is overpriced by about a
-# third.  It is kept because it is what starts a pool for five
-# 1024-value units (priced 2% over the pool at n < 1024); a refit to these
+# each, measured 5.9, 6.3, 6.9, 6.7, 9.5 and 27 us there, so below 1e7 the
+# flat part is overpriced by about a third.  Over the 256 n from 1e13 and
+# the 256 up to 2^55 it measured 0.32 and 3.8 ms for x2+3y2+t, 0.14 and
+# 1.5 ms for x2+3t+t, 0.14 and 1.2 ms for x2+6t+t, 0.13 and 1.6 ms for
+# 3x2+2t+t, and 0.24 and 2.9 ms for 4x2+2t+t: 0.19 and 2.2 ms averaged,
+# so the price is 1.3x and 1.65x that average; at 2^55 it is 0.96x the
+# cost of x2+3y2+t and 3x that of x2+6t+t.  The flat part is kept because
+# it is what starts a pool for five 1024-value units (priced 2% over the
+# pool at n < 1024); a refit to these
 # figures would run such scans in one process, where five near 9.3e5 read
 # 40 ms against 36 ms pooled (median of 40, alternating).  A refit
 # re-measures POOL_START_S warm too.  The cost is nearly flat below 1e6,
 # where three_squares reads most two-square remainders from its table,
-# and grows as about n^0.27 from 1e9 to 2^55, where the two-square scan
+# and grows as about n^0.25 from 1e9 to 2^55, where the two-square scan
 # visits only the a that can leave a square mod 256, between bounds
-# computed once per remainder; no c0 + c1 * n^(1/3) fits both ends within
-# a third, and this one underprices 1e9 by about a quarter.  An exists hit
+# computed once per remainder, and takes the isqrt only of the b^2 that are
+# squares mod 45045; no c0 + c1 * n^(1/3) fits both ends within a third,
+# and this one underprices 1e9 by about a quarter.  An exists hit
 # near n, which the walk finds within a few outer values, costs 0.9 to
 # 1.9 us * n^(1/4) averaged over the catalog's in-domain values (12 to
 # 22 us at 1.65e4, 28 to 39 us at 1e6, 87 to 101 us at 1e8, 0.29 to

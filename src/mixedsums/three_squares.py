@@ -14,6 +14,10 @@ which visits only the a whose residue mod 128 can leave a square mod 256.
 The scan runs from isqrt(m) to the least a with 2a^2 >= m (so b <= a), in
 blocks of 128 a; both bounds are computed once, and only the two blocks
 that hold them are clipped, so the blocks between test no bound per a.
+Each block forms c = m - base^2 and t = 2 base once, so a = base + r leaves
+b^2 = c - r(t + r).  That b^2 takes an isqrt only if b^2 mod 45045
+(= 63 * 65 * 11) is a square mod 63, 65 and 11, which a byte table built at
+import answers; about 4.5% of the b^2 the scan forms pass it.
 """
 
 from __future__ import annotations
@@ -63,6 +67,28 @@ def _scan_residues() -> tuple[tuple[int, ...], ...]:
 
 _SCAN_RESIDUES = _scan_residues()
 
+# the scan takes the isqrt of b^2 only where b^2 mod this is a square; it is
+# odd, so it rejects independently of the residue lists mod 256
+_FILTER_MOD = 63 * 65 * 11
+
+
+def _square_filter() -> bytes:
+    """Entry r < _FILTER_MOD is 1 iff r is a square mod 63, mod 65 and
+    mod 11, which by the Chinese remainder theorem is iff r is a square mod
+    _FILTER_MOD: 2016 of the 45045 entries, 16/63 * 21/65 * 6/11.  Each
+    non-square r mod q clears the entries r, r + q, ..., by slice assignment,
+    in well under a millisecond."""
+    table = bytearray(b"\1") * _FILTER_MOD
+    for q in (63, 65, 11):
+        squares = {s * s % q for s in range(q)}
+        for r in range(q):
+            if r not in squares:
+                table[r::q] = bytes(_FILTER_MOD // q)
+    return bytes(table)
+
+
+_SQUARE_FILTER = _square_filter()
+
 
 class NotRepresentableError(ValueError):
     """The number is of the excluded 4**k (8l+7) shape."""
@@ -90,6 +116,7 @@ def two_squares(m: int) -> tuple[int, int] | None:
     top = isqrt(m)
     least = isqrt((m - 1) // 2) + 1  # the smallest a with 2a^2 >= m, so b <= a
     high, low = top & ~127, least & ~127
+    squares, mod = _SQUARE_FILTER, _FILTER_MOD
     # blocks of 128 from the one holding top down to the one holding least;
     # a descends throughout, and only those two blocks are clipped
     for base in range(high, low - 1, -128):
@@ -99,12 +126,14 @@ def two_squares(m: int) -> tuple[int, int] | None:
             # ascends from base - top to base - least
             first = bisect_left(rs, base - top, key=neg)
             rs = rs[first : bisect_right(rs, base - least, first, key=neg)]
+        # m - (base + r)^2 = c - r(t + r)
+        c, t = m - base * base, base << 1
         for r in rs:
-            a = base + r
-            b2 = m - a * a
-            b = isqrt(b2)
-            if b * b == b2:
-                return a, b
+            b2 = c - r * (t + r)
+            if squares[b2 % mod]:
+                b = isqrt(b2)
+                if b * b == b2:
+                    return base + r, b
     return None
 
 

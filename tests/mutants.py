@@ -1,4 +1,5 @@
-"""The scan engine's mutation gate: every mutant below must fail the tests.
+"""The mutation gate of the scan engine and the two-square filter: every
+mutant below must fail the tests.
 
 Run it as `python tests/mutants.py`, from any directory.
 
@@ -17,8 +18,9 @@ mutant is killed and 1 otherwise.
 pytest does not collect this file, since its name does not start with
 test_.  Each run takes as long as the tests take to fail.  On a 2-core x86
 VM (Python 3.11) the unpatched tree took 51 s and the mutants 10 to 44 s
-each, except the window bound, whose run builds windows past 2^26 before a
-test fails: 201 s.  All thirteen runs took about 10 minutes.
+each (the two-square filter's 15 to 20 s), except the window bound, whose run
+builds windows past 2^26 before a test fails: 201 s.  All fourteen runs
+took about 10 minutes.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ TIMEOUT_S = 900
 
 SURVEY = "src/mixedsums/survey.py"
 ORACLE = "src/mixedsums/oracle.py"
+THREE_SQUARES = "src/mixedsums/three_squares.py"
 
 # (name, file, old text, new text)
 MUTANTS = (
@@ -87,6 +90,10 @@ MUTANTS = (
     ("constructive-fault-reported", SURVEY,
      '        if bad and path == "constructive":',
      "        if False:"),
+    # the two-square scan's filter clears 0 mod 65 and mod 11, squares of b
+    ("filter-drops-a-square", THREE_SQUARES,
+     "        squares = {s * s % q for s in range(q)}",
+     "        squares = {s * s % q for s in range(1, q)}"),
 )
 
 

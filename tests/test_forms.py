@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +188,17 @@ CEILING_GOLDEN = [
 def test_certificate_json_golden_near_the_ceiling():
     lines = [represent(f, n).to_json() for n in (2**55, 2**55 - 1, 2**54 + 1) for f in MixedForm]
     assert lines == CEILING_GOLDEN
+
+
+def test_certificate_json_golden_across_the_represent_range():
+    # 64 n, one per octave of [2^30, 2^55) in turn, for each of the five
+    # forms: the sha256 of their JSON lines, one per line in that order, as
+    # the two-square scan without its square filter produced them
+    rng = random.Random(55)
+    ns = [rng.randrange(1 << k, 2 << k) for k in (30 + i % 25 for i in range(64))]
+    lines = "\n".join(represent(f, n).to_json() for n in ns for f in MixedForm)
+    digest = hashlib.sha256(lines.encode()).hexdigest()
+    assert digest == "b5fe31dbdd2759ec8229055d26d4a5d9918b77157836fdc541c15306e066eeb6"
 
 
 @settings(max_examples=100)

@@ -69,6 +69,39 @@ def test_two_squares_scan_covers_every_class_mod_256():
         assert two_squares(m) == max_a_two_squares(m), m
 
 
+_FILTER, _FILTER_MOD = ts._SQUARE_FILTER, ts._FILTER_MOD
+
+
+class _RecordingFilter:
+    """Stands in for the scan's square filter under a modulus of 2^64, so
+    each index the scan reads is its b^2 = m - a^2 itself; records them and
+    answers as the real filter does."""
+
+    def __init__(self):
+        self.reads = []
+
+    def __getitem__(self, b2):
+        self.reads.append(b2)
+        return _FILTER[b2 % _FILTER_MOD]
+
+
+def _record_filter(monkeypatch):
+    """The list of b^2 the scan looks up, from now to the test's end."""
+    table = _RecordingFilter()
+    monkeypatch.setattr(ts, "_SQUARE_FILTER", table)
+    monkeypatch.setattr(ts, "_FILTER_MOD", 1 << 64)
+    return table.reads
+
+
+def test_square_filter_keeps_exactly_the_squares():
+    # the scan's filter keeps every square mod 45045, so it skips no split,
+    # and clears all the other residues, so it is not all ones
+    assert len(_FILTER) == _FILTER_MOD == 45045
+    squares = {s * s % _FILTER_MOD for s in range(_FILTER_MOD)}
+    assert {r for r in range(_FILTER_MOD) if _FILTER[r]} == squares
+    assert sum(_FILTER) == len(squares) == 16 * 21 * 6
+
+
 def _bounds(m):
     """The scan's first and last candidate a: isqrt(m), and the least a
     with 2a^2 >= m."""
@@ -94,25 +127,18 @@ def _bounds(m):
 def test_two_squares_scan_clips_its_first_and_last_block(monkeypatch, ms, case):
     # the scan clips only the blocks holding isqrt(m) and least; every m of
     # each range puts a bound where the case says.  Past its two bounds the
-    # scan takes one root per listed a it visits, from isqrt(m) down to the
-    # answer, or on a miss to least and no further
-    roots = 0
-
-    def counting_isqrt(n):
-        nonlocal roots
-        roots += 1
-        return isqrt(n)
-
-    monkeypatch.setattr(ts, "isqrt", counting_isqrt)
+    # scan looks up m - a^2 for each listed a it visits, in descending order
+    # from isqrt(m) down to the answer, or on a miss to least and no further
+    reads = _record_filter(monkeypatch)
     for m in ms:
         top, least = _bounds(m)
         assert m > 1 << 16 and case(top, least), m
-        roots = 0
+        reads.clear()
         pair = two_squares(m)
         assert pair == max_a_two_squares(m), m
         listed = ts._SCAN_RESIDUES[m & 255]
-        visited = range(pair[0] if pair else least, top + 1)
-        assert roots == (2 + sum(a & 127 in listed for a in visited) if listed else 0), m
+        visited = range(top, (pair[0] if pair else least) - 1, -1)
+        assert reads == [m - a * a for a in visited if a & 127 in listed], m
 
 
 # k with no prime factor 1 mod 4, so (k, k) is the only split of 2k^2;
@@ -143,12 +169,14 @@ class _CountingInt(int):
 
 def test_two_squares_scan_visits_only_the_listed_residues(monkeypatch):
     # a miss near 2^34 in a class (m = 20 mod 256) that lets 24 of 128 a
-    # through: the scan forms m - a^2 and takes its isqrt for about that
-    # share of the a the plain scan would visit.  A scan that tests every a
-    # mod 256 also skips the isqrt of most, but forms every m - a^2
+    # through: the scan looks up m - a^2 for those a alone, about that share
+    # of the a the plain scan would visit.  It takes the isqrt of m, of
+    # (m - 1) // 2 and of each b^2 the filter passes, about 1 in 22, and it
+    # subtracts from m once for least and once per block of 128 a
     m = (1 << 34) + 20
     assert max_a_two_squares(m) is None
-    span = isqrt(m) - isqrt((m - 1) // 2)  # the a with a^2 <= m <= 2a^2
+    top, least = _bounds(m)
+    span = top - least + 1  # the a with a^2 <= m <= 2a^2
     roots = 0
 
     def counting_isqrt(n):
@@ -156,11 +184,17 @@ def test_two_squares_scan_visits_only_the_listed_residues(monkeypatch):
         roots += 1
         return isqrt(n)
 
+    reads = _record_filter(monkeypatch)
     monkeypatch.setattr(ts, "isqrt", counting_isqrt)
     monkeypatch.setattr(_CountingInt, "subtractions", 0)
     assert two_squares(_CountingInt(m)) is None
-    assert roots <= span // 5 + 8
-    assert _CountingInt.subtractions <= span // 5 + 8
+    listed = ts._SCAN_RESIDUES[m & 255]
+    assert len(listed) == 24
+    assert reads == [m - a * a for a in range(top, least - 1, -1) if a & 127 in listed]
+    assert len(reads) <= span // 5 + 8
+    assert roots == 2 + sum(_FILTER[b2 % _FILTER_MOD] for b2 in reads) <= len(reads) // 10
+    blocks = (top >> 7) - (least >> 7) + 1
+    assert _CountingInt.subtractions == 1 + blocks
 
 
 # straddles the table's bound, so the scan above it is drawn from too
