@@ -90,7 +90,7 @@ MAX_UNITS = MAX_WINDOW_HI // DEFAULT_CHUNK
 # plus 0.011 us * n^(1/3): 8.5, 8.7, 9.0, 9.6, 10.9 and 19.5 us at n = 0,
 # 1e4, 1e5, 9e5, 1e7 and 1e9, and 0.25 and 3.6 ms at 1e13 and 2^55.
 # verify(represent(form, n)), averaged over the five forms, 256 values
-# each, measured 5.9, 6.3, 6.9, 6.7, 9.5 and 27 us there, so below 1e7 the
+# each, measured 5.9, 6.2, 6.5, 7.0, 10.0 and 25 us there, so below 1e7 the
 # flat part is overpriced by about a third.  Over the 256 n from 1e13 and
 # the 256 up to 2^55 it measured 0.32 and 3.8 ms for x2+3y2+t, 0.14 and
 # 1.5 ms for x2+3t+t, 0.14 and 1.2 ms for x2+6t+t, 0.13 and 1.6 ms for
@@ -103,11 +103,11 @@ MAX_UNITS = MAX_WINDOW_HI // DEFAULT_CHUNK
 # 40 ms against 36 ms pooled (median of 40, alternating).  A refit
 # re-measures POOL_START_S warm too.  The cost is nearly flat below 1e6,
 # where three_squares reads most two-square remainders from its table,
-# and grows as about n^0.25 from 1e9 to 2^55, where the two-square scan
-# visits only the a that can leave a square mod 256, between bounds
-# computed once per remainder, and takes the isqrt only of the b^2 that are
-# squares mod 45045; no c0 + c1 * n^(1/3) fits both ends within a third,
-# and this one underprices 1e9 by about a quarter.  An exists hit
+# and grows as about n^0.22 from 1e9 to 1e13 and n^0.30 from 1e13 to 2^55,
+# where the two-square scan visits only the a that can leave a square mod
+# 256, between bounds computed once per remainder, and takes the isqrt only
+# of the b^2 that are squares mod 45045; no c0 + c1 * n^(1/3) fits both ends
+# within a third, and this one underprices 1e9 by about a quarter.  An exists hit
 # near n, which the walk finds within a few outer values, costs 0.9 to
 # 1.9 us * n^(1/4) averaged over the catalog's in-domain values (12 to
 # 22 us at 1.65e4, 28 to 39 us at 1e6, 87 to 101 us at 1e8, 0.29 to

@@ -128,17 +128,30 @@ def test_two_squares_scan_clips_its_first_and_last_block(monkeypatch, ms, case):
     # the scan clips only the blocks holding isqrt(m) and least; every m of
     # each range puts a bound where the case says.  Past its two bounds the
     # scan looks up m - a^2 for each listed a it visits, in descending order
-    # from isqrt(m) down to the answer, or on a miss to least and no further
+    # from isqrt(m) down to the answer, or on a miss to least and no further.
+    # It takes the isqrt of m, of (m - 1) // 2 and of each m - a^2 the filter
+    # passes, and none at all in a class that lists no a
+    roots = 0
+
+    def counting_isqrt(n):
+        nonlocal roots
+        roots += 1
+        return isqrt(n)
+
     reads = _record_filter(monkeypatch)
+    monkeypatch.setattr(ts, "isqrt", counting_isqrt)
     for m in ms:
         top, least = _bounds(m)
         assert m > 1 << 16 and case(top, least), m
         reads.clear()
+        roots = 0
         pair = two_squares(m)
         assert pair == max_a_two_squares(m), m
         listed = ts._SCAN_RESIDUES[m & 255]
         visited = range(top, (pair[0] if pair else least) - 1, -1)
         assert reads == [m - a * a for a in visited if a & 127 in listed], m
+        passed = sum(_FILTER[b2 % _FILTER_MOD] for b2 in reads)
+        assert roots == (2 + passed if listed else 0), m
 
 
 # k with no prime factor 1 mod 4, so (k, k) is the only split of 2k^2;
