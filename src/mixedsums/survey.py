@@ -26,12 +26,14 @@ MAX_WINDOW_HI (2^26, the oracle's window bound) and the window prices below
 judging each n; the negative control is always one sieved window.  A
 sieved entry runs as one unit, any other as one unit per chunk of
 DEFAULT_CHUNK (2^14) values, and chunks widen past 2^26 values so that no
-entry plans more than MAX_UNITS (4096) units.  A process pool of at most
-`jobs` workers is started only when the priced work, spread over the
-workers, saves more than the pool costs to start and feed; otherwise every
-unit runs in this process.  Each report is merged from its own entry's
-units, in plan order, which keeps reports byte-for-byte identical whatever
-the worker count.
+entry plans more than MAX_UNITS (4096) units.  `jobs` counts this
+process: a pool of at most `jobs` workers, this process and `jobs` - 1
+children, is started only when the priced work, spread over the workers,
+saves more than the pool costs to start and feed; otherwise every unit runs
+in this process alone.  Each worker takes the next unit from one shared
+counter until none is left, and each child sends its rows back once.  Each
+report is merged from its own entry's units, in plan order, which keeps
+reports byte-for-byte identical whatever the worker count.
 
 The units run sorted, stably, by the pair of slots a sieved term list's
 window sums first, so that the oracle's one kept pair serves every entry
@@ -57,7 +59,7 @@ import re
 import time
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arith import _check_natural, is_three_square_feasible
 from .forms import MixedForm, represent, verify
@@ -97,11 +99,11 @@ MAX_UNITS = MAX_WINDOW_HI // DEFAULT_CHUNK
 # 3x2+2t+t, and 0.24 and 2.9 ms for 4x2+2t+t: 0.19 and 2.2 ms averaged,
 # so the price is 1.3x and 1.65x that average; at 2^55 it is 0.96x the
 # cost of x2+3y2+t and 3x that of x2+6t+t.  The flat part is kept because
-# it is what starts a pool for five 1024-value units (priced 2% over the
-# pool at n < 1024); a refit to these
-# figures would run such scans in one process, where five near 9.3e5 read
-# 40 ms against 36 ms pooled (median of 40, alternating).  A refit
-# re-measures POOL_START_S warm too.  The cost is nearly flat below 1e6,
+# it is what starts a pool for five 1024-value units (priced 5% over the
+# pool at n < 1024); a refit to these figures would run such scans in one
+# process, where five from 0 read 33 ms against 22 ms pooled and five from
+# 9e5 40 ms against 29 ms (medians of 40 in a warm process, alternating;
+# the pool won 40 and 37).  The cost is nearly flat below 1e6,
 # where three_squares reads most two-square remainders from its table,
 # and grows as about n^0.22 from 1e9 to 1e13 and n^0.30 from 1e13 to 2^55,
 # where the two-square scan visits only the a that can leave a square mod
@@ -125,16 +127,19 @@ EXISTS_HIT_S = 1.5e-6
 WINDOW_ROOT_S = 2.5e-6
 WINDOW_POW_S = 2.5e-12
 
-# A forked pool of two workers took 13 ms to start and stop in a warm
-# process and about 40 ms in a fresh one, which first imports
-# multiprocessing (30 ms), so 20 ms lies between; each unit it carries added
-# 0.22 ms (same VM, median of 7, 2 to 1000 one-value units).  Where the
-# platform cannot fork, workers are spawned: each starts an interpreter and
-# imports mixedsums, and two took 153 to 160 ms in a warm process and 284 ms
-# in a fresh one (get_context("spawn"), median of 7), so 200 ms lies between.
+# A forked pool of two workers, this process and one child, took 3.2 ms to
+# start, feed and stop around units that do nothing in a warm process, and
+# 20 ms in a fresh one, which first imports multiprocessing; each unit it
+# carries added 1 to 3 us (same VM, median of 7, 2 to 16384 units).  The
+# fresh figure is kept: a CLI scan is a fresh process, and a price under
+# 15 ms would pool `survey 0 40000`, which took 17 ms in this process and
+# 32 ms pooled.  Where the platform cannot fork, children are spawned: each
+# starts an interpreter and imports mixedsums, and one took 101 ms in a warm
+# process and 127 ms in a fresh one (get_context("spawn"), median of 7); 200
+# ms is kept, since each further worker spawns one more interpreter.
 POOL_START_S = 0.02
 POOL_SPAWN_S = 0.2
-POOL_UNIT_S = 0.22e-3
+POOL_UNIT_S = 3e-6
 
 DOMAINS = ("all", "positive", "positive_odd")
 
@@ -255,6 +260,7 @@ def _domain_values(domain: str, lo: int, hi: int) -> range:
 
 
 _Unit = tuple[CatalogEntry, str, int, int]  # (entry, path, lo, hi): a whole range or one chunk
+_Row = tuple[int, list[int], float]  # a unit's verified count, counterexamples and wall ms
 
 
 def _price(path: str, lo: int, hi: int) -> float:
@@ -284,7 +290,7 @@ def _path(entry: CatalogEntry, mode: str, lo: int, hi: int) -> str:
     return "pointwise"
 
 
-def _scan_unit(unit: _Unit) -> tuple[int, list[int], float]:
+def _scan_unit(unit: _Unit) -> _Row:
     """The unit's verified count, counterexamples and wall ms; a
     constructive unit has none, and raises AssertionError at the first n
     whose certificate does not verify.  Its judge (n -> is n represented?)
@@ -339,19 +345,21 @@ def _usable_cpus() -> int:
 
 
 def _can_fork() -> bool:
-    """Whether pool workers can be forked.  Windows, the one platform whose
+    """Whether pool children can be forked.  Windows, the one platform whose
     multiprocessing offers no "fork" start method, has no os.fork; asking os
     loads no multiprocessing, which a one-process scan never needs."""
     return hasattr(os, "fork")
 
 
 def _pool_size(jobs: int, units: int) -> int:
-    """Worker processes for a scan: never more than the units or the CPUs."""
+    """Worker processes for a scan, this one included: never more than the
+    units or the CPUs."""
     return min(jobs, units, _usable_cpus())
 
 
 def _plan_workers(jobs: int, units: Sequence[_Unit]) -> int:
-    """The workers to start for these units; 1 runs them all in this process.
+    """The workers to scan these units, this process included; 1 runs them
+    all in this process alone, w starts w - 1 children.
 
     A pool is estimated to take POOL_START_S (POOL_SPAWN_S where the
     platform cannot fork), POOL_UNIT_S per unit and the longer of its
@@ -375,6 +383,95 @@ def _shared_pair(unit: _Unit) -> list:
     return _by_density(entry.spec)[:2] if path == "sieved" and entry.predicate is None else []
 
 
+def _take(counter, total: int) -> Iterator[int]:
+    """Indices into a scan's units, each taken from the counter that every
+    process of its pool shares, until none is left."""
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= total:
+            return
+        yield i
+
+
+def _work(run: Sequence[_Unit], counter, writer) -> None:
+    """A pool child: scan the units of run it takes from counter, then send
+    its {index: row}, or the exception that stopped it, once."""
+    import traceback  # only a child that fails needs it
+
+    try:
+        result = {i: _scan_unit(run[i]) for i in _take(counter, len(run))}, None
+    except Exception as e:
+        result = {}, (e, traceback.format_exc())
+    writer.send(result)
+
+
+def _start_children(context, run: Sequence[_Unit], counter, workers: int) -> Iterator:
+    """Start the workers - 1 children of a pool whose last worker is this
+    process, yielding each with the reading end of its one-way pipe."""
+    for _ in range(workers - 1):
+        reader, writer = context.Pipe(duplex=False)
+        child = context.Process(target=_work, args=(run, counter, writer), daemon=True)
+        child.start()
+        writer.close()  # so that the child's exit reads as EOF here
+        yield child, reader
+
+
+def _receive(reader):
+    """What a child sent over its pipe, or None if it exited first."""
+    with reader:
+        try:
+            return reader.recv()
+        except EOFError:
+            return None
+
+
+def _pool_scan(run: Sequence[_Unit], workers: int) -> list[_Row]:
+    """The rows of run's units, scanned by this process and workers - 1
+    children, each taking the next unit from one shared counter.
+
+    A child's exception is re-raised here, and a child that exits without
+    reporting is an internal fault.  On every way out the counter is
+    exhausted, every pipe drained and every child joined, so no child
+    outlives the scan.
+    """
+    # imported here: it loads multiprocessing, which a one-process scan and
+    # every other command never need
+    import multiprocessing
+
+    # forked where the platform can fork, whatever its default: a forked
+    # child starts as cheaply as POOL_START_S prices it, inherits run and
+    # sees this process's modules as they stand (fork copies only the
+    # calling thread, and the pool starts no other); spawned, as
+    # POOL_SPAWN_S prices it, elsewhere
+    context = multiprocessing.get_context("fork" if _can_fork() else "spawn")
+    counter = context.Value("q", 0)
+    children = []
+    rows: dict[int, _Row] = {}
+    try:
+        for child in _start_children(context, run, counter, workers):
+            children.append(child)
+        for i in _take(counter, len(run)):
+            rows[i] = _scan_unit(run[i])
+    finally:
+        with counter.get_lock():
+            counter.value = len(run)
+        sent = [_receive(reader) for _, reader in children]
+        for child, _ in children:
+            child.join()
+    for (child, _), got in zip(children, sent):
+        if got is None:
+            raise RuntimeError(
+                f"scan worker {child.pid} exited with code {child.exitcode} before reporting"
+            )
+        found, error = got
+        if error is not None:
+            raise error[0] from RuntimeError(f"in scan worker {child.pid}:\n{error[1]}")
+        rows.update(found)
+    return [rows[i] for i in range(len(run))]
+
+
 def _run_scans(
     entries: Sequence[CatalogEntry], mode: str, lo: int, hi: int, jobs: int
 ) -> list[RangeReport]:
@@ -393,24 +490,10 @@ def _run_scans(
     run = sorted(units, key=_shared_pair)  # so that each shared pair is built once
     workers = _plan_workers(jobs, units)
     try:
-        if workers > 1:
-            # imported here: it loads multiprocessing, which a one-process
-            # scan and every other command never need
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            # forked where the platform can fork, whatever its default: a
-            # forked worker starts as cheaply as POOL_START_S prices it and
-            # sees this process's modules as they stand (fork copies only the
-            # calling thread, and the scan starts no other); spawned, as
-            # POOL_SPAWN_S prices it, elsewhere
-            context = multiprocessing.get_context("fork" if _can_fork() else "spawn")
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                ran = dict(zip(run, pool.map(_scan_unit, run)))
-        else:
-            ran = {unit: _scan_unit(unit) for unit in run}
+        scanned = _pool_scan(run, workers) if workers > 1 else [_scan_unit(u) for u in run]
     finally:
         forget_pair()
+    ran = dict(zip(run, scanned))
     reports = []
     for entry, plan in zip(entries, plans):
         rows = [ran[unit] for unit in plan]

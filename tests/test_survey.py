@@ -1,10 +1,12 @@
 from __future__ import annotations
 
-import concurrent.futures
+import contextlib
 import json
 import math
 import multiprocessing
 import os
+import pickle
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +18,7 @@ import pytest
 import mixedsums
 import mixedsums.oracle as oracle
 import mixedsums.survey as sv
+from mixedsums.cli import main
 from mixedsums.forms import MixedForm
 from mixedsums.oracle import MAX_ENUMERATED_N, FormSpec, Term, spec_of
 from mixedsums.survey import (
@@ -326,15 +329,16 @@ def _strip_wall(reports):
 
 
 def _spy_on_pools(monkeypatch):
-    """The worker count of every process pool a scan starts, in order."""
+    """The worker count, this process included, of every pool a scan
+    starts, in order."""
     started = []
+    real = sv._start_children
 
-    class Spy(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    def spy(context, run, counter, workers):
+        started.append(workers)
+        return real(context, run, counter, workers)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    monkeypatch.setattr(sv, "_start_children", spy)
     return started
 
 
@@ -367,7 +371,7 @@ def test_small_survey_runs_in_this_process(monkeypatch):
     # 35 sieved 128-value chunks take about 7 ms, less than a pool costs
     base = verify_catalog(None, 16384, 16511, jobs=1)
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(sv, "_start_children", _no_pool)
     assert _strip_wall(verify_catalog(None, 16384, 16511, jobs=2)) == _strip_wall(base)
 
 
@@ -391,9 +395,156 @@ def test_scan_that_cannot_fork_prices_a_spawned_pool(monkeypatch):
     assert sv._can_fork() and sv._plan_workers(2, units) == 2
     monkeypatch.delattr(os, "fork")
     assert not sv._can_fork() and sv._plan_workers(2, units) == 1
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(sv, "_start_children", _no_pool)
     reports = verify_theorem2_range(900_000, 902_047, jobs=2)
     assert [r.verified_count for r in reports] == [2048] * 5
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail with TimeoutError, rather than hang, past seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _split_units(monkeypatch, child, here=None):
+    """Scan every unit a pool child takes with child(unit), and every unit
+    this process takes with here(unit) (the real scan by default), but only
+    once a child has started one, so that both take some.  Returns the event
+    a child sets, to be cleared before the next scan."""
+    parent = os.getpid()
+    began = multiprocessing.get_context("fork").Event()
+    here = here or sv._scan_unit
+
+    def scan(unit):
+        if os.getpid() != parent:
+            began.set()
+            return child(unit)
+        if not began.wait(60):
+            raise TimeoutError("no pool child took a unit")
+        return here(unit)
+
+    monkeypatch.setattr(sv, "_scan_unit", scan)
+    return began
+
+
+# The next three pools are each this process and one forked child over the
+# five one-form units of [0, 1023]; the patched scan reaches the child only
+# by fork.
+_needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the child must inherit a patch")
+
+
+@_needs_fork
+def test_child_error_is_reraised_and_no_child_outlives_it(monkeypatch):
+    started = _free_pool(monkeypatch)
+
+    def child(unit):
+        raise AssertionError(f"{unit[0].entry_id}: n={unit[2]} failed in a child")
+
+    _split_units(monkeypatch, child)
+    with _deadline(60), pytest.raises(AssertionError, match=r": n=0 failed in a child$"):
+        verify_theorem2_range(0, 1023, jobs=2)
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+
+
+@_needs_fork
+def test_child_that_dies_mid_unit_is_an_internal_fault(monkeypatch, capsys):
+    started = _free_pool(monkeypatch)
+    began = _split_units(monkeypatch, lambda unit: os._exit(1))
+    with _deadline(60):
+        with pytest.raises(RuntimeError, match="exited with code 1 before reporting"):
+            verify_theorem2_range(0, 1023, jobs=2)
+        began.clear()
+        assert main(["verify-range", "0", "1023", "--jobs", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "RuntimeError: scan worker" in err
+    assert started == [2, 2]
+    assert multiprocessing.active_children() == []
+
+
+@_needs_fork
+def test_fault_here_drains_a_child_blocked_on_a_large_result(monkeypatch):
+    # the child's rows are more than a pipe holds, so it blocks sending them
+    # until this process, whose own unit raised, reads them
+    started = _free_pool(monkeypatch)
+    row = (0, list(range(1 << 16)), 0.0)
+    assert len(pickle.dumps({1: row})) > 64 * 1024
+
+    def here(unit):
+        raise AssertionError(f"{unit[0].entry_id}: n={unit[2]} failed here")
+
+    _split_units(monkeypatch, lambda unit: row, here)
+    with _deadline(60), pytest.raises(AssertionError, match=r": n=0 failed here$"):
+        verify_theorem2_range(0, 1023, jobs=2)
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+
+
+@_needs_fork
+def test_pool_scans_every_unit_once(monkeypatch):
+    # five workers on at most two cores race for 2,000 one-value units; a
+    # lost update of the shared counter would scan some unit twice
+    scans = multiprocessing.get_context("fork").Value("q", 0)
+    real = sv._scan_unit
+
+    def counted(unit):
+        with scans.get_lock():
+            scans.value += 1
+        return real(unit)
+
+    monkeypatch.setattr(sv, "_scan_unit", counted)
+    monkeypatch.setattr(sv, "DEFAULT_CHUNK", 1)
+    started = _free_pool(monkeypatch)
+    with _deadline(60):
+        reports = verify_theorem2_range(0, 399, jobs=5)
+    assert started == [5]
+    assert scans.value == 2000
+    assert [r.verified_count for r in reports] == [400] * 5
+    assert multiprocessing.active_children() == []
+
+
+# A pool that costs nothing, spawned as on a platform that cannot fork; the
+# scan's stdout, then the pools it started and the children left running,
+# on stderr.
+_SPAWNED_POOL = """
+import multiprocessing, sys
+import mixedsums.cli, mixedsums.survey as sv
+
+sv._can_fork = lambda: False
+sv.POOL_SPAWN_S = sv.POOL_UNIT_S = 0.0
+sv._usable_cpus = lambda: 2
+started = []
+real = sv._start_children
+
+def spy(context, run, counter, workers):
+    started.append((context.get_start_method(), workers))
+    return real(context, run, counter, workers)
+
+sv._start_children = spy
+code = mixedsums.cli.main(["verify-range", "0", "1023", "--jobs", sys.argv[1], "--json"])
+print(started, multiprocessing.active_children(), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_spawned_pool_prints_the_same_bytes():
+    outs = []
+    for jobs, pools in (("1", []), ("2", [("spawn", 2)])):
+        proc = _run_python("-c", _SPAWNED_POOL, jobs)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == f"{pools} []\n"
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] != ""
 
 
 @pytest.mark.parametrize(
@@ -644,6 +795,7 @@ def test_flipped_first_bit_is_caught(monkeypatch):
 _FLIPPED_BIT = """
 import json, sys
 import mixedsums.survey as sv
+from mixedsums.cli import main
 from mixedsums.forms import MixedForm
 
 real = sv.representable_window
