@@ -25,11 +25,18 @@ exact answer for odd remainders is the same walk: an odd x^2 + y^2 is
 Range windows (`representable_window`) enumerate the same term values, but
 over a whole range at once: the represented numbers up to hi are the sumset
 of the three slots' value sets, built as Python-integer bitsets with one
-shift-OR per value of the second and third slot.  The pair sumset of the
-first two slots is kept for the next call (one pair, the last built), so a
-scan that runs the term lists sharing a pair one after the other builds it
-once; `forget_pair` drops it.  A window shares nothing with `exists`, so a
-scan can judge any of its bits pointwise.
+shift-OR per value of the second slot, and at most one per value of the
+third, the sparsest.  The pair sumset of the first two slots is kept for
+the next call (one pair, the last built), so a scan that runs the term
+lists sharing a pair one after the other builds it once; `forget_pair`
+drops it.  The window [lo, hi] is the pair shifted by the third slot's
+values: those above lo first, then those at or below lo from the top down,
+stopping once every bit of the window is set.  A narrow window high up is
+usually full after a few of the largest values, so it costs far fewer than
+sqrt(hi) shift-ORs; a window with a hole, or one from 0, tries them all.
+Over three identical slots, as for `exists`, only values of at least lo/3
+shift it.  A window shares nothing with `exists`, so a scan can judge any
+of its bits pointwise.
 
 Counting convention: every coordinate ranges over all of Z within its
 evaluation bound.  Sign pairs x, -x of a square index and the index pair
@@ -144,11 +151,15 @@ def _value(term: Term, i: int) -> int:
 
 
 def _values(term: Term, budget: int) -> Iterator[int]:
-    """The slot's values up to budget, ascending, each once.  Every caller
-    consumes them all; they come one at a time, so a caller that streams
-    them, as count and the shift-ORs do, holds no list of them."""
+    """The slot's values up to budget, ascending, each once.  They come one
+    at a time, so a caller that streams them, as count does, holds no list
+    of them."""
+    return _index_values(term, range(_top_index(term, budget) + 1))
+
+
+def _index_values(term: Term, indices: range) -> Iterator[int]:
+    """The slot's values at indices >= 0, in the order of indices."""
     c = term.coeff
-    indices = range(_top_index(term, budget) + 1)
     if term.kind == "sq":
         return (c * i * i for i in indices)
     return (c * (i * (i + 1) // 2) for i in indices)
@@ -288,17 +299,37 @@ def _bits(values: Iterable[int], hi: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _shifted_union(bits: int, shifts: Iterable[int], lo: int, hi: int) -> int:
-    """Bit k set iff lo + k <= hi is u + v for a set bit u and some v in shifts."""
+def _shifted_union(bits: int, term: Term, lo: int, hi: int, floor: int = 0) -> int:
+    """Bit k set iff lo + k <= hi is u + v for a set bit u and a value
+    v >= floor of term.
+
+    The values v in (lo, hi] run first, ascending.  Their shifts
+    bits << (v - lo) cannot set bit 0, so no window is full before they
+    end.  Then the values in [floor, lo] run from the top down, each ORing
+    bits >> (lo - v) masked to the window, and the loop stops once every bit
+    is set.  Set bits are sums u + v, and a bit is left clear only after
+    every value has been tried, so the window is exact wherever it stops.  A
+    pair build (lo = 0) and a window from 0 try every value, plus one mask;
+    a narrow window high up is usually full after a few of the largest
+    values at or below lo.
+    """
+    full = (1 << (hi - lo + 1)) - 1
+    mid = _top_index(term, lo)
     out = 0
-    for v in shifts:
-        out |= bits >> (lo - v) if v <= lo else bits << (v - lo)
-    return out & ((1 << (hi - lo + 1)) - 1)
+    for v in _index_values(term, range(mid + 1, _top_index(term, hi) + 1)):
+        out |= bits << (v - lo)
+    out &= full
+    below_floor = _top_index(term, floor - 1) if floor else -1
+    for v in _index_values(term, range(mid, below_floor, -1)):
+        out |= bits >> (lo - v) & full
+        if out == full:
+            break
+    return out
 
 
 def _pair_sumset(first: Term, second: Term, hi: int) -> int:
     """first + second up to hi, as a bitset."""
-    return _shifted_union(_bits(_values(first, hi), hi), _values(second, hi), 0, hi)
+    return _shifted_union(_bits(_values(first, hi), hi), second, 0, hi)
 
 
 # A window holds several bitsets of up to hi bits at once (the pair sumset,
@@ -331,11 +362,14 @@ def forget_pair() -> None:
 def representable_window(spec: FormSpec, lo: int, hi: int) -> int:
     """Bitset over [lo, hi]: bit k is set iff lo + k is represented by spec.
 
-    The sumset of the three slots' value sets up to hi, so it costs
-    O(sqrt(hi)) shift-ORs of (hi + 1)-bit integers whatever the width.
+    The sumset of the three slots' value sets up to hi, so it costs at
+    most O(sqrt(hi)) shift-ORs of (hi + 1)-bit integers whatever the width.
     The densest slot a becomes the shifted bitset and the sparser b and c
     supply the shifts: (a + b) + c.  The pair a + b is reused when the last
-    call built the same one.  hi may not exceed MAX_WINDOW_HI.
+    call built the same one.  Over three identical slots only the values
+    v >= lo / 3 of c shift it, since the largest of three values summing to
+    n >= lo is at least lo / 3 (as in _walk).  hi may not exceed
+    MAX_WINDOW_HI.
     """
     global _last_pair
     _check_window(lo, hi)
@@ -344,21 +378,23 @@ def representable_window(spec: FormSpec, lo: int, hi: int) -> int:
     if _last_pair is None or _last_pair[0] != key:
         _last_pair = None  # never two pairs alive at once
         _last_pair = key, _pair_sumset(a, b, hi)
-    return _shifted_union(_last_pair[1], _values(c, hi), lo, hi)
+    floor = -(-lo // 3) if a == b == c else 0
+    return _shifted_union(_last_pair[1], c, lo, hi, floor)
 
 
 def constrained_two_squares_triangular_window(lo: int, hi: int) -> int:
     """`exists_constrained_two_squares_triangular` over [lo, hi] as a bitset.
 
-    Split by parity: x^2 + y^2 with x, y of opposite parity is the sumset of
-    the even and the odd squares, x = y > 0 adds 2x^2, and every triangular
-    number shifts the union.  hi may not exceed MAX_WINDOW_HI.
+    Split by parity: x^2 + y^2 with x, y of opposite parity is
+    (2u)^2 + (2v+1)^2 = 4u^2 + 8t_v + 1, the sumset of 4u^2 and 8t_v
+    shifted up by one; x = y > 0 adds 2x^2, and every triangular number
+    shifts the union.  hi may not exceed MAX_WINDOW_HI.
     """
     _check_window(lo, hi)
-    squares = list(_values(Term(1, "sq"), hi))
-    pairs = _shifted_union(_bits(squares[0::2], hi), squares[1::2], 0, hi)
-    pairs |= _bits((2 * s for s in squares[1:] if 2 * s <= hi), hi)
-    return _shifted_union(pairs, _values(Term(1, "tri"), hi), lo, hi)
+    # 1 + 4u^2 may reach bit hi + 1; every shift-OR masks to its window
+    pairs = _shifted_union(_bits(_values(Term(4, "sq"), hi), hi) << 1, Term(8, "tri"), 0, hi)
+    pairs |= _bits(islice(_values(Term(2, "sq"), hi), 1, None), hi)
+    return _shifted_union(pairs, Term(1, "tri"), lo, hi)
 
 
 @dataclass(frozen=True)

@@ -31,9 +31,11 @@ process: a pool of at most `jobs` workers, this process and `jobs` - 1
 children, is started only when the priced work, spread over the workers,
 saves more than the pool costs to start and feed; otherwise every unit runs
 in this process alone.  Each worker takes the next unit from one shared
-counter until none is left, and each child sends its rows back once.  Each
-report is merged from its own entry's units, in plan order, which keeps
-reports byte-for-byte identical whatever the worker count.
+counter until none is left, and each child sends its rows back once; a
+child that fails exhausts the counter first, so every worker stops after
+the unit it is scanning.  Each report is merged from its own entry's
+units, in plan order, which keeps reports byte-for-byte identical whatever
+the worker count.
 
 The units run sorted, stably, by the pair of slots a sieved term list's
 window sums first, so that the oracle's one kept pair serves every entry
@@ -119,8 +121,14 @@ MAX_UNITS = MAX_WINDOW_HI // DEFAULT_CHUNK
 # within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms
 # and 60 ms at 1.65e4, 1e5 and 1e6 over the catalog; 0.7 to 2.0 s, 9.4 to
 # 15 s and 24 to 37 s at 4.2e6, 1.7e7 and 3.4e7 over a sample of entries).
-# A window whose pair the scan built for the entry before it costs less, so
-# the window price is an upper bound.
+# A window whose pair the scan built for the entry before it costs less, and
+# so does a narrow window high up, which stops once it is full, usually
+# after a few of its sparsest slot's largest values: over [16384, 16511] the
+# median catalog window took 0.15 ms with its pair built afresh and 9 us
+# with the pair kept (0.20 ms and 40 us when every value shifted it), where
+# 0.38 ms is priced.  So the WINDOW_* price is an upper bound.  It stays
+# fitted to windows that try every value, a window from 0 or one with a
+# hole, so that no plan moves.
 CONSTRUCTIVE_S = 8.5e-6
 CONSTRUCTIVE_ROOT3_S = 0.011e-6
 EXISTS_HIT_S = 1.5e-6
@@ -397,12 +405,16 @@ def _take(counter, total: int) -> Iterator[int]:
 
 def _work(run: Sequence[_Unit], counter, writer) -> None:
     """A pool child: scan the units of run it takes from counter, then send
-    its {index: row}, or the exception that stopped it, once."""
+    its {index: row}, or the exception that stopped it, once.  An exception
+    first exhausts the counter, so every worker stops after the unit it is
+    scanning."""
     import traceback  # only a child that fails needs it
 
     try:
         result = {i: _scan_unit(run[i]) for i in _take(counter, len(run))}, None
     except Exception as e:
+        with counter.get_lock():
+            counter.value = len(run)
         result = {}, (e, traceback.format_exc())
     writer.send(result)
 

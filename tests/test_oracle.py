@@ -390,6 +390,85 @@ def test_window_matches_exists_anywhere(spec, lo, width):
     assert flags == [exists(spec, n) for n in range(lo, hi + 1)]
 
 
+def window_reads(spec: FormSpec, lo: int, hi: int) -> tuple[int, list[int]]:
+    """spec's window over [lo, hi] and the third slot's values it reads, in
+    order, its pair sumset built beforehand."""
+    representable_window(spec, lo, hi)  # builds the pair, or keeps it
+    read = []
+    values = oracle._index_values
+
+    def spy(term, indices):
+        for v in values(term, indices):
+            read.append(v)
+            yield v
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "_index_values", spy)
+        window = representable_window(spec, lo, hi)
+    return window, read
+
+
+def test_full_windows_read_few_values_at_or_below_lo():
+    # at [16384, 16511] 31 of the 34 catalog term lists have no hole, and
+    # each window is full after at most 22 of the 46 to 129 largest values
+    # at or below lo, read from the top down; the three Panaitopol forms
+    # miss some even n, so they read every value
+    lo, hi = 16384, 16511
+    full = (1 << (hi - lo + 1)) - 1
+    specs = list(dict.fromkeys(e.spec for e in CATALOG if e.predicate is None))
+    holed = []
+    for spec in specs:
+        window, read = window_reads(spec, lo, hi)
+        assert window_flags(window, lo, hi) == [exists(spec, n) for n in range(lo, hi + 1)]
+        below = [v for v in read if v <= lo]
+        everything = list(oracle._values(oracle._by_density(spec)[2], lo))[::-1]
+        assert below == everything[: len(below)]
+        if window == full:
+            assert len(below) <= 22
+        else:
+            holed.append(str(spec))
+            assert below == everything
+    assert holed == ["1*sq+1*sq+2*sq", "1*sq+2*sq+3*sq", "1*sq+2*sq+4*sq"]
+
+
+ONE_SLOT_SPECS = [THREE_SQUARES] + [
+    parse_form_spec(text) for text in ("1*tri+1*tri+1*tri", "2*sq+2*sq+2*sq")
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ONE_SLOT_SPECS),
+    st.integers(min_value=1, max_value=3 * 10**4),
+    st.integers(min_value=1, max_value=300),
+)
+def test_one_slot_window_reads_no_value_below_a_third_of_lo(spec, lo, width):
+    # the largest of three values summing to n >= lo is at least lo/3
+    hi = lo + width - 1
+    window, read = window_reads(spec, lo, hi)
+    assert window_flags(window, lo, hi) == [exists(spec, n) for n in range(lo, hi + 1)]
+    assert all(v >= -(-lo // 3) for v in read)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([e.spec for e in CATALOG if e.source == "panaitopol"]),
+    st.integers(min_value=0, max_value=3 * 10**4),
+    st.integers(min_value=1, max_value=300),
+)
+def test_windows_with_holes_stay_exact(spec, lo, width):
+    # a Panaitopol form misses even n such as 4^k(16l+14) for x^2+y^2+2z^2;
+    # a window that holds one cannot be full, so it reads every value at or
+    # below lo before it leaves that bit clear
+    hi = lo + width - 1
+    window, read = window_reads(spec, lo, hi)
+    flags = window_flags(window, lo, hi)
+    assert flags == [exists(spec, n) for n in range(lo, hi + 1)]
+    if not all(flags):
+        last = oracle._by_density(spec)[2]
+        assert [v for v in read if v <= lo] == list(oracle._values(last, lo))[::-1]
+
+
 def test_predicate_window_matches_pointwise():
     flags = window_flags(constrained_two_squares_triangular_window(0, 2000), 0, 2000)
     assert flags == [exists_constrained_two_squares_triangular(n) for n in range(2001)]

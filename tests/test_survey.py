@@ -9,6 +9,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -450,10 +451,21 @@ def test_child_error_is_reraised_and_no_child_outlives_it(monkeypatch):
     def child(unit):
         raise AssertionError(f"{unit[0].entry_id}: n={unit[2]} failed in a child")
 
-    _split_units(monkeypatch, child)
+    # this process scans slowly: it would scan all four units the child
+    # leaves, had the child's failure not stopped it after the one in flight
+    scanned_here = []
+    scan = sv._scan_unit
+
+    def here(unit):
+        scanned_here.append(unit)
+        time.sleep(0.2)
+        return scan(unit)
+
+    _split_units(monkeypatch, child, here)
     with _deadline(60), pytest.raises(AssertionError, match=r": n=0 failed in a child$"):
         verify_theorem2_range(0, 1023, jobs=2)
     assert started == [2]
+    assert 1 <= len(scanned_here) < 4
     assert multiprocessing.active_children() == []
 
 
