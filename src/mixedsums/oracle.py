@@ -9,34 +9,13 @@ way around, so this module must stay independent of the construction
 machinery: it imports only the named forms and their term table (to
 translate them into term lists) and the width checks.
 
-`exists` walks (`_walk`) the outer values from the top down and looks every
-remainder up in a set of the last slot's values, which grows with the
-remainder.  A hit usually comes within a few outer values, whose remainders
-are O(sqrt(n)), so it builds only about n^(1/4) slot values; a miss tries
-O(n) pairs, at C speed, and holds O(sqrt(n)) values.  Over three identical
-slots (x^2 + y^2 + z^2) it stops once the outer value drops below n/3,
-since the largest of three values summing to n is at least n/3.  The
-parity-constrained predicate judges each remainder by its parity, and makes
-a first pass before the walk: an odd remainder tried with its largest
-square, an even one settled as 2x^2, which the walk does not cover.  Its
-exact answer for odd remainders is the same walk: an odd x^2 + y^2 is
-(2u)^2 + (2v+1)^2 = 4u^2 + 8t_v + 1.
-
-Range windows (`representable_window`) enumerate the same term values, but
-over a whole range at once: the represented numbers up to hi are the sumset
-of the three slots' value sets, built as Python-integer bitsets with one
-shift-OR per value of the second slot, and at most one per value of the
-third, the sparsest.  The pair sumset of the first two slots is kept for
-the next call (one pair, the last built), so a scan that runs the term
-lists sharing a pair one after the other builds it once; `forget_pair`
-drops it.  The window [lo, hi] is the pair shifted by the third slot's
-values: those above lo first, then those at or below lo from the top down,
-stopping once every bit of the window is set.  A narrow window high up is
-usually full after a few of the largest values, so it costs far fewer than
-sqrt(hi) shift-ORs; a window with a hole, or one from 0, tries them all.
-Over three identical slots, as for `exists`, only values of at least lo/3
-shift it.  A window shares nothing with `exists`, so a scan can judge any
-of its bits pointwise.
+Pointwise, `exists` walks the slots' values (`_walk`), and `count` and
+`witnesses` enumerate them.  Over a whole range, `representable_window`
+reads every verdict off one sumset bitset of the slots' values
+(`_shifted_union`), keeping one pair sumset for the next call.  The
+parity-constrained predicate has its own pointwise test and window.  A
+window shares nothing with `exists`, so a scan can judge any of its bits
+pointwise.
 
 Counting convention: every coordinate ranges over all of Z within its
 evaluation bound.  Sign pairs x, -x of a square index and the index pair
@@ -231,10 +210,11 @@ def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
     unordered pair is probed once.  When all three are the same slot, the
     largest of three values summing to n is at least n / 3, and the walk
     takes va as that largest (vb is at most rb / 2 <= va), so it stops once
-    3 * va < n: the set then grows only to 2n / 3.  A miss still tries O(n)
-    (va, vb) pairs, but the probes run in C; it holds O(sqrt(n)) values,
-    built only as far as rb has grown.  This is the hot loop of the negative
-    control's misses.
+    3 * va < n: the set then grows only to 2n / 3.  A hit usually comes
+    within a few outer values, whose remainders are O(sqrt(n)), so it builds
+    only about n^(1/4) slot values.  A miss tries O(n) (va, vb) pairs, but
+    the probes run in C; it holds O(sqrt(n)) values, built only as far as rb
+    has grown.  This is the hot loop of the negative control's misses.
     """
     one_slot = a == b == c
     bvals: list[int] = []
@@ -257,12 +237,9 @@ def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
 
 
 # count and witnesses walk O(n) slot pairs per call, witnesses up to four
-# times as many as count (both signs of every index), so they refuse n above
-# this cap.  So does the negative control: its first counterexample is one
-# exists miss near lo, the same walk.  On a 2-core x86 VM (Python 3.11) the
-# slowest term list, 1*tri+1*tri+1*tri, took 0.5 s to count and 2.0 s to
-# list every witness at n = 10^6, and 2.0 s and 8.5 s at n = 4*10^6; the
-# control's exists miss at 999999 took 8 to 14 ms.
+# times as many as count, and the negative control's first counterexample is
+# one exists miss near lo, so all three refuse n above this bound; the
+# figures are in BENCH_control_walk.json.
 MAX_ENUMERATED_N = 10**6
 
 
@@ -333,11 +310,9 @@ def _pair_sumset(first: Term, second: Term, hi: int) -> int:
 
 
 # A window holds several bitsets of up to hi bits at once (the pair sumset,
-# the window, shift-OR temporaries and, in a scan, the domain mask): a sieved
-# scan unit's peak RSS grew by 9.6, 19, 38 and 77 MB for [0, hi] at hi =
-# 2^23, 2^24, 2^25 and 2^26 (about 1.15 bytes per value; 1*sq+1*sq+1*tri on
-# a 2-core x86 VM, Python 3.11), and the unit took 151 s at 2^26.  So both
-# windows refuse hi above MAX_WINDOW_HI, about 77 MB.
+# the window, shift-OR temporaries and, in a scan, the domain mask), so both
+# windows refuse hi above this bound; the figures are in
+# BENCH_sumset_early_exit.json.
 MAX_WINDOW_HI = 1 << 26
 
 

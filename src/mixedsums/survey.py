@@ -1,56 +1,18 @@
 """Range verification over the built-in form catalogs.
 
-Catalog entries are grouped under fixed source labels (theorem2, theorem1_i,
-theorem1_ii, theorem1_iii, panaitopol); the CLI --source flag filters on
-them.  An entry is defined by its name alone: a named form spelling
-("x2+6t+t"), a canonical term list ("1*sq+2*sq+4*tri") or the one oracle
-predicate ("mixed-parity-two-squares"), so every name but the predicate is
-also a valid `mixedsums count`/`witnesses` SPEC.  The theorem2 group holds
-the five named mixed forms, which can be scanned constructively (decompose,
-then re-verify the certificate) or through the brute-force oracle; every
-other entry is oracle-only.  A certificate that does not verify is a
-fault of the program, never a counterexample: the five forms represent
-every n, so a constructive scan raises AssertionError there, and only the
-oracle reports counterexamples.  Each entry carries a status tag:
-"constructive" when witnesses are built by the decomposers, "established"
-for complete statements that are merely re-checked here, and "empirical"
-for coefficient lists whose scan is evidence, not proof.
+A catalog entry (`CatalogEntry`) is defined by its name and grouped under a
+source label, which the CLI's --source filters on.  Its status tag says
+what a clean scan means: "constructive" entries are backed by the
+decomposers, "established" ones re-check complete statements, and
+"empirical" ones are evidence, not proof.  Only the theorem2 group, the
+five named forms, can be scanned constructively, and only the oracle
+reports counterexamples.
 
-Each entry of a scan is planned once, on one path: "constructive"
-(decompose, then re-verify the certificate), "pointwise" (the oracle judges
-each n) or "sieved" (every verdict is read off one sumset window).  `_path`
-decides it for the entry's whole range, and `_price` estimates a unit's
-seconds from its path and bounds alone, from the price list measured and
-commented below.  An oracle range is sieved when its upper bound is at most
-MAX_WINDOW_HI (2^26, the oracle's window bound) and the window prices below
-judging each n; the negative control is always one sieved window.  A
-sieved entry runs as one unit, any other as one unit per chunk of
-DEFAULT_CHUNK (2^14) values, and chunks widen past 2^26 values so that no
-entry plans more than MAX_UNITS (4096) units.  `jobs` counts this
-process: a pool of at most `jobs` workers, this process and `jobs` - 1
-children, is started only when the priced work, spread over the workers,
-saves more than the pool costs to start and feed; otherwise every unit runs
-in this process alone.  Each worker takes the next unit from one shared
-counter until none is left, and each child sends its rows back once; a
-child that fails exhausts the counter first, so every worker stops after
-the unit it is scanning.  Each report is merged from its own entry's
-units, in plan order, which keeps reports byte-for-byte identical whatever
-the worker count.
-
-The units run sorted, stably, by the pair of slots a sieved term list's
-window sums first, so that the oracle's one kept pair serves every entry
-that shares it; the pair is dropped when the scan ends.
-
-A unit reads every in-domain verdict first, then judges them.  A
-constructive or pointwise unit reads each verdict pointwise.  A sieved
-unit reads them off one sumset bitset of its whole range, and the
-pointwise oracle then judges the first in-domain n of every 2^14-value
-block and every counterexample, each an O(n) miss.  The negative control
-is the one exception: only its first counterexample is judged pointwise,
-since `negative_control` compares every n of its range with the numbers
-4^k(8l+7), enumerated directly and each judged by an independent
-classifier.  Any disagreement raises AssertionError.  The negative control
-shares `count`'s cap on n (`oracle._check_enumerable`) for its hi.
+The scan engine: `_run_scans` plans each entry on the one path `_path`
+chooses from the estimates of `_price`, and merges each report from its
+own units; `_plan_workers` decides whether a pool pays for itself, and
+`_pool_scan` runs it; `_scan_unit` scans one unit; `negative_control`
+demands the classical exclusion set of plain three squares.
 """
 
 from __future__ import annotations
@@ -81,70 +43,29 @@ from .oracle import (
 
 DEFAULT_CHUNK = 1 << 14
 
-# An entry that is not sieved is planned as at most this many chunks, so a
-# range of any width plans a bounded list: chunks are DEFAULT_CHUNK values
-# wide up to 2^26 values (MAX_WINDOW_HI) and grow past that.  A catalog
-# range is sieved only while hi <= MAX_WINDOW_HI, the oracle's window bound,
-# and then only where _price prices the window below judging each n.  The
-# negative control, capped at MAX_ENUMERATED_N, always sieves.
+# An entry that is not sieved is planned as at most this many chunks:
+# DEFAULT_CHUNK values wide up to 2^26 values, wider past that.
 MAX_UNITS = MAX_WINDOW_HI // DEFAULT_CHUNK
 
-# The estimated cost of a unit, in seconds; see _price.  Measured on a
-# 2-core x86 VM, Python 3.11.  A constructive value n is priced at 8.5 us
-# plus 0.011 us * n^(1/3): 8.5, 8.7, 9.0, 9.6, 10.9 and 19.5 us at n = 0,
-# 1e4, 1e5, 9e5, 1e7 and 1e9, and 0.25 and 3.6 ms at 1e13 and 2^55.
-# verify(represent(form, n)), averaged over the five forms, 256 values
-# each, measured 5.9, 6.2, 6.5, 7.0, 10.0 and 25 us there, so below 1e7 the
-# flat part is overpriced by about a third.  Over the 256 n from 1e13 and
-# the 256 up to 2^55 it measured 0.32 and 3.8 ms for x2+3y2+t, 0.14 and
-# 1.5 ms for x2+3t+t, 0.14 and 1.2 ms for x2+6t+t, 0.13 and 1.6 ms for
-# 3x2+2t+t, and 0.24 and 2.9 ms for 4x2+2t+t: 0.19 and 2.2 ms averaged,
-# so the price is 1.3x and 1.65x that average; at 2^55 it is 0.96x the
-# cost of x2+3y2+t and 3x that of x2+6t+t.  The flat part is kept because
-# it is what starts a pool for five 1024-value units (priced 5% over the
-# pool at n < 1024); a refit to these figures would run such scans in one
-# process, where five from 0 read 33 ms against 22 ms pooled and five from
-# 9e5 40 ms against 29 ms (medians of 40 in a warm process, alternating;
-# the pool won 40 and 37).  The cost is nearly flat below 1e6,
-# where three_squares reads most two-square remainders from its table,
-# and grows as about n^0.22 from 1e9 to 1e13 and n^0.30 from 1e13 to 2^55,
-# where the two-square scan visits only the a that can leave a square mod
-# 256, between bounds computed once per remainder, and takes the isqrt only
-# of the b^2 that are squares mod 45045; no c0 + c1 * n^(1/3) fits both ends
-# within a third, and this one underprices 1e9 by about a quarter.  An exists hit
-# near n, which the walk finds within a few outer values, costs 0.9 to
-# 1.9 us * n^(1/4) averaged over the catalog's in-domain values (12 to
-# 22 us at 1.65e4, 28 to 39 us at 1e6, 87 to 101 us at 1e8, 0.29 to
-# 0.32 ms at 1e10, 1.0 to 1.4 ms at 1e12).  A window up to hi, its pair a + b built afresh, costs
-# 2.5 us * sqrt(hi) + 2.5 ps * hi^1.75: sqrt(hi) shift-ORs of hi-bit
-# integers, each dearer per bit once they outgrow the caches.  That is
-# within a third of the median sieve from 1.65e4 to 3.4e7 (0.35 ms, 3.0 ms
-# and 60 ms at 1.65e4, 1e5 and 1e6 over the catalog; 0.7 to 2.0 s, 9.4 to
-# 15 s and 24 to 37 s at 4.2e6, 1.7e7 and 3.4e7 over a sample of entries).
-# A window whose pair the scan built for the entry before it costs less, and
-# so does a narrow window high up, which stops once it is full, usually
-# after a few of its sparsest slot's largest values: over [16384, 16511] the
-# median catalog window took 0.15 ms with its pair built afresh and 9 us
-# with the pair kept (0.20 ms and 40 us when every value shifted it), where
-# 0.38 ms is priced.  So the WINDOW_* price is an upper bound.  It stays
-# fitted to windows that try every value, a window from 0 or one with a
-# hole, so that no plan moves.
+# The price list of _price, in seconds.  Decomposing and verifying a value n
+# costs CONSTRUCTIVE_S + CONSTRUCTIVE_ROOT3_S * n^(1/3); the figures are in
+# BENCH_two_squares_filter.json.
 CONSTRUCTIVE_S = 8.5e-6
 CONSTRUCTIVE_ROOT3_S = 0.011e-6
+# An exists hit near n, which the walk finds within a few outer values,
+# costs EXISTS_HIT_S * n^(1/4); the figures are in BENCH_exists_one_walk.json.
 EXISTS_HIT_S = 1.5e-6
+# A window up to hi costs at most WINDOW_ROOT_S * sqrt(hi) + WINDOW_POW_S *
+# hi^1.75, the price of sqrt(hi) shift-ORs of hi-bit integers that cost more
+# per bit once they outgrow the caches; the figures are in
+# BENCH_sumset_early_exit.json.
 WINDOW_ROOT_S = 2.5e-6
 WINDOW_POW_S = 2.5e-12
 
-# A forked pool of two workers, this process and one child, took 3.2 ms to
-# start, feed and stop around units that do nothing in a warm process, and
-# 20 ms in a fresh one, which first imports multiprocessing; each unit it
-# carries added 1 to 3 us (same VM, median of 7, 2 to 16384 units).  The
-# fresh figure is kept: a CLI scan is a fresh process, and a price under
-# 15 ms would pool `survey 0 40000`, which took 17 ms in this process and
-# 32 ms pooled.  Where the platform cannot fork, children are spawned: each
-# starts an interpreter and imports mixedsums, and one took 101 ms in a warm
-# process and 127 ms in a fresh one (get_context("spawn"), median of 7); 200
-# ms is kept, since each further worker spawns one more interpreter.
+# A pool costs POOL_START_S to start, feed and stop when its children are
+# forked from a fresh process, which first imports multiprocessing,
+# POOL_SPAWN_S when they are spawned, and POOL_UNIT_S per unit it carries;
+# the figures are in BENCH_pool_share.json.
 POOL_START_S = 0.02
 POOL_SPAWN_S = 0.2
 POOL_UNIT_S = 3e-6
@@ -487,11 +408,13 @@ def _pool_scan(run: Sequence[_Unit], workers: int) -> list[_Row]:
 def _run_scans(
     entries: Sequence[CatalogEntry], mode: str, lo: int, hi: int, jobs: int
 ) -> list[RangeReport]:
+    """One report per entry.  Each entry is planned once, on one path: a
+    sieved entry is one unit, any other one unit per chunk, at most
+    MAX_UNITS of them.  Each report is merged from its own entry's units in
+    plan order, so no byte of it depends on the worker count."""
     check_range(lo, hi)
     if _check_natural(jobs, "jobs") < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    # each entry is planned once, on one path: a sieved entry is one unit,
-    # any other one unit per chunk, at most MAX_UNITS of them
     chunk = max(DEFAULT_CHUNK, -(-(hi - lo + 1) // MAX_UNITS))
     plans = []
     for entry in entries:

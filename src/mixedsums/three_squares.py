@@ -17,7 +17,7 @@ that hold them are clipped, so the blocks between test no bound per a.
 Each block forms c = m - base^2 and t = 2 base once, so a = base + r leaves
 b^2 = c - r(t + r).  That b^2 takes an isqrt only if b^2 mod 45045
 (= 63 * 65 * 11) is a square mod 63, 65 and 11, which a byte table built at
-import answers; about 4.5% of the b^2 the scan forms pass it.
+import answers.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ _TABLE_BOUND = 1 << 16
 def _max_a_table() -> bytearray:
     """Entry m < _TABLE_BOUND is the largest a with m = a*a + b*b and
     a >= b >= 0, or 0 when there is none (and at m = 0); ascending a
-    overwrites each sum's smaller a.  Built in a function: local names make
-    it about 1 ms."""
+    overwrites each sum's smaller a.  Built in a function, whose local names
+    are faster to read than globals."""
     table = bytearray(_TABLE_BOUND)
     squares = [a * a for a in range(isqrt(_TABLE_BOUND - 1) + 1)]
     for a, a2 in enumerate(squares):
@@ -56,7 +56,7 @@ def _scan_residues() -> tuple[tuple[int, ...], ...]:
     on m & 255 and a & 127 alone: the scan above 2^16 visits only the a with
     a & 127 listed, 22 of 128 averaged over the 256 classes.  127 of them list
     none: m is 3 mod 4, 6 mod 8, 12 mod 16, ..., which no sum of two squares
-    is.  Built from the 44 squares in about 0.5 ms."""
+    is.  Built from the 44 squares."""
     squares = {r * r & 255 for r in range(256)}
     table: list[list[int]] = [[] for _ in range(256)]
     for r in range(127, -1, -1):
@@ -76,8 +76,8 @@ def _square_filter() -> bytes:
     """Entry r < _FILTER_MOD is 1 iff r is a square mod 63, mod 65 and
     mod 11, which by the Chinese remainder theorem is iff r is a square mod
     _FILTER_MOD: 2016 of the 45045 entries, 16/63 * 21/65 * 6/11.  Each
-    non-square r mod q clears the entries r, r + q, ..., by slice assignment,
-    in well under a millisecond."""
+    non-square r mod q clears the entries r, r + q, ..., by slice
+    assignment."""
     table = bytearray(b"\1") * _FILTER_MOD
     for q in (63, 65, 11):
         squares = {s * s % q for s in range(q)}

@@ -7,19 +7,19 @@ Each mutant is one exact-string patch to one file under src/.  The runner
 first checks that every patch's old text occurs exactly once in its file,
 and stops before any test runs if one does not, so a refactor that moves
 the code must update this list.  Then, for the unpatched tree and for each
-mutant, it copies src/, tests/ and pyproject.toml into a fresh temporary
-directory, applies the patch there and runs `python -m pytest -x -q tests`
-in the copy; the checkout itself is never modified.  The unpatched copy must
-pass, so that a mutant's failure is the patch's doing.  A mutant is killed
+mutant, it copies src/, tests/, pyproject.toml, README.md and the
+BENCH_*.json files into a fresh temporary directory, applies the patch
+there and runs `python -m pytest -x -q tests` in the copy; the checkout
+itself is never modified.  The unpatched copy must pass, so that a
+mutant's failure is the patch's doing.  A mutant is killed
 when its run exits 1 (a test failed); a run that passes, errors in some
 other way or times out leaves it alive.  The exit code is 0 when every
 mutant is killed and 1 otherwise.
 
 pytest does not collect this file, since its name does not start with
-test_.  Each run takes as long as the tests take to fail.  On a 2-core x86
-VM (Python 3.11) the unpatched tree took 33 to 51 s and the mutants 5 to
-49 s each, except the window bound, whose run builds windows past 2^26
-before a test fails: 123 to 201 s.  All nineteen runs took 8 to 11 minutes.
+test_.  Each run takes as long as the tests take to fail.  The window-bound
+mutant's is the slowest, since its killing test first builds a window past
+2^26.
 """
 
 from __future__ import annotations
@@ -133,7 +133,8 @@ def _run(patch: tuple[str, str] | None) -> tuple[int | None, str]:
         ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
-        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        for path in (ROOT / "pyproject.toml", ROOT / "README.md", *ROOT.glob("BENCH_*.json")):
+            shutil.copy2(path, copy / path.name)
         if patch is not None:
             (copy / patch[0]).write_text(patch[1])
         env = dict(os.environ)

@@ -3,10 +3,13 @@ from __future__ import annotations
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import mixedsums
 
@@ -64,3 +67,47 @@ def test_small_survey_loads_no_process_pool():
     assert "mixedsums.survey" in imported
     assert not {m for m in imported if m.split(".")[0] == "multiprocessing"}
     assert "concurrent.futures.process" not in imported
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src" / "mixedsums"
+
+# the tuned constants, each of which names the BENCH_*.json holding its
+# measured figures in the comment above it (or above its group)
+_TUNED = {
+    "survey.py": (
+        "CONSTRUCTIVE_S", "CONSTRUCTIVE_ROOT3_S", "EXISTS_HIT_S", "WINDOW_ROOT_S",
+        "WINDOW_POW_S", "POOL_START_S", "POOL_SPAWN_S", "POOL_UNIT_S",
+    ),
+    "oracle.py": ("MAX_ENUMERATED_N", "MAX_WINDOW_HI"),
+}
+_BENCH_NAME = re.compile(r"BENCH_\w+\.json")
+
+
+def _comment_above(lines: list[str], name: str) -> str:
+    """The comment lines directly above the group of assignments that
+    binds name at module level."""
+    i = next(k for k, line in enumerate(lines) if line.startswith(f"{name} = "))
+    while lines[i - 1].strip() and not lines[i - 1].startswith("#"):
+        i -= 1
+    j = i
+    while lines[j - 1].startswith("#"):
+        j -= 1
+    return " ".join(lines[j:i])
+
+
+@pytest.mark.parametrize(
+    "module, name", [(module, name) for module, names in _TUNED.items() for name in names]
+)
+def test_tuned_constant_cites_its_bench_file(module, name):
+    comment = _comment_above((_SRC / module).read_text().splitlines(), name)
+    assert _BENCH_NAME.search(comment), f"{module}: the comment on {name} names no BENCH_*.json"
+
+
+def test_cited_bench_files_exist_and_parse():
+    texts = [path.read_text() for path in sorted(_SRC.glob("*.py"))]
+    texts += [(_ROOT / "README.md").read_text(), (_ROOT / "tests" / "mutants.py").read_text()]
+    cited = sorted({bench for text in texts for bench in _BENCH_NAME.findall(text)})
+    assert cited
+    for bench in cited:
+        json.loads((_ROOT / bench).read_text())

@@ -369,7 +369,10 @@ def test_worker_count_does_not_change_reports(monkeypatch):
 
 
 def test_small_survey_runs_in_this_process(monkeypatch):
-    # 35 sieved 128-value chunks take about 7 ms, less than a pool costs
+    # 35 sieved 128-value units, priced 13.9 ms in all: less than a pool
+    # costs to start, whatever the worker count
+    units = [(e, sv._path(e, "oracle", 16384, 16511), 16384, 16511) for e in CATALOG]
+    assert sum(sv._price(*unit[1:]) for unit in units) < sv.POOL_START_S
     base = verify_catalog(None, 16384, 16511, jobs=1)
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(sv, "_start_children", _no_pool)
@@ -377,7 +380,8 @@ def test_small_survey_runs_in_this_process(monkeypatch):
 
 
 def test_wide_constructive_scan_starts_a_pool(monkeypatch):
-    # five 1024-value constructive chunks take about 75 ms
+    # five 1024-value constructive units, priced 44 ms in all, against 42 ms
+    # for a pool of two
     base = verify_theorem2_range(0, 1023, mode="constructive", jobs=1)
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
     started = _spy_on_pools(monkeypatch)
@@ -388,8 +392,9 @@ def test_wide_constructive_scan_starts_a_pool(monkeypatch):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork to take away")
 def test_scan_that_cannot_fork_prices_a_spawned_pool(monkeypatch):
-    # five constructive units of 2048 values near 9e5, priced at about 0.1 s:
-    # a forked pool pays for itself at --jobs 2, a spawned one does not
+    # five constructive units of 2048 values near 9e5, priced 98 ms in all:
+    # at --jobs 2 a forked pool, priced 69 ms, pays for itself, and a
+    # spawned one, priced 0.25 s, does not
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
     units = [(e, "constructive", 900_000, 902_047) for e in catalog_entries("theorem2")]
     assert 0.08 < sum(sv._price(*unit[1:]) for unit in units) < 0.12
@@ -566,8 +571,9 @@ def test_spawned_pool_prints_the_same_bytes():
 )
 def test_wide_oracle_scans_plan_a_pool(monkeypatch, entries, hi, workers):
     # three scans CI compares at --jobs 1 and 2; each sieves, so it is one
-    # unit per entry: 35 units of about 1 ms cost less than a pool, 35 of
-    # about 9 ms pay for one, and the control's one unit runs in this process
+    # unit per entry: 35 units priced 0.85 ms each cost less than a pool, 35
+    # priced 9.4 ms each pay for one, and the control's one unit runs in
+    # this process
     monkeypatch.setattr(sv, "_usable_cpus", lambda: 2)
     assert all(sv._path(e, "oracle", 0, hi) == "sieved" for e in entries)
     units = [(e, "sieved", 0, hi) for e in entries]

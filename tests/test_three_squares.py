@@ -293,8 +293,8 @@ def test_three_squares_matches_reference_scan(m):
 
 
 # 24n + 3 is the target x2+3y2+t splits; near the ceiling n = 2^55 every
-# remainder is far above 2^16.  A call there takes up to about 0.06 s (p99
-# of 300 seeded n) and the reference longer, so the examples are few
+# remainder is far above 2^16.  survey._price puts a decomposition there at
+# 3.6 ms and the reference scan takes longer, so the examples are few
 @settings(max_examples=12, deadline=None)
 @given(st.integers(min_value=2**55 - 2**40, max_value=2**55))
 def test_three_squares_matches_reference_scan_near_ceiling(n):
