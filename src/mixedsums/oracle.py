@@ -25,6 +25,7 @@ i, -i-1 of a triangular value are distinct witnesses.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from math import isqrt
@@ -205,11 +206,13 @@ def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
     The outer values va run from the top down, so the remainder rb = n - va
     only grows.  The middle values up to rb, in a list, and the solved
     slot's values up to rb, in a set, grow with it, and each va is one probe
-    of that set by every rb - vb.  When b and c are the same slot, the
-    smaller of vb and vc is at most rb / 2, so the list stops there and each
-    unordered pair is probed once.  When all three are the same slot, the
-    largest of three values summing to n is at least n / 3, and the walk
-    takes va as that largest (vb is at most rb / 2 <= va), so it stops once
+    of that set by every rb - vb.  When b and c are the same slot, one loop
+    fills its one ascending list and that list's set, and only the listed
+    vb >= rb / 2 probe the set: the larger value of any split of rb lies
+    there, so each unordered split is probed once, and a slot's values are
+    sparser in its upper half.  When all three are the same slot, the
+    largest of three values summing to n is at least n / 3, and every va
+    down to there has tried every split of its rb, so the walk stops once
     3 * va < n: the set then grows only to 2n / 3.  A hit usually comes
     within a few outer values, whose remainders are O(sqrt(n)), so it builds
     only about n^(1/4) slot values.  A miss tries O(n) (va, vb) pairs, but
@@ -225,13 +228,21 @@ def _walk(a: Term, b: Term, c: Term, n: int) -> bool:
         if one_slot and 3 * va < n:
             return False
         rb = n - va
-        while (vb := _value(b, j)) <= (rb // 2 if b == c else rb):
-            bvals.append(vb)
-            j += 1
-        while (vc := _value(c, k)) <= rb:
-            cvals.add(vc)
-            k += 1
-        if not cvals.isdisjoint([rb - vb for vb in bvals]):
+        if b == c:
+            while (vb := _value(b, j)) <= rb:
+                bvals.append(vb)
+                cvals.add(vb)
+                j += 1
+            probes = bvals[bisect_left(bvals, rb - rb // 2):]
+        else:
+            while (vb := _value(b, j)) <= rb:
+                bvals.append(vb)
+                j += 1
+            while (vc := _value(c, k)) <= rb:
+                cvals.add(vc)
+                k += 1
+            probes = bvals
+        if not cvals.isdisjoint([rb - vb for vb in probes]):
             return True
     return False
 
@@ -305,8 +316,20 @@ def _shifted_union(bits: int, term: Term, lo: int, hi: int, floor: int = 0) -> i
 
 
 def _pair_sumset(first: Term, second: Term, hi: int) -> int:
-    """first + second up to hi, as a bitset."""
-    return _shifted_union(_bits(_values(first, hi), hi), second, 0, hi)
+    """first + second up to hi, as a bitset.
+
+    When first and second are the same slot, each unordered pair of values
+    is shifted in once: the smaller of two values summing to at most hi is
+    at most hi / 2, so only the slot's values up to there shift the bitset
+    of all its values up to hi.
+    """
+    bits = _bits(_values(first, hi), hi)
+    if first != second:
+        return _shifted_union(bits, second, 0, hi)
+    out = 0
+    for v in _values(second, hi // 2):
+        out |= bits << v
+    return out & (1 << hi + 1) - 1
 
 
 # A window holds several bitsets of up to hi bits at once (the pair sumset,

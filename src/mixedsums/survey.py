@@ -188,6 +188,22 @@ def _domain_values(domain: str, lo: int, hi: int) -> range:
     return range(max(lo, 1) | 1, hi + 1, 2)
 
 
+# A sieved unit lists its holes 2^16 bits (this many bytes) at a time, so
+# no string it builds is longer, however wide its window is.
+_HOLE_PIECE_BYTES = 1 << 13
+
+
+def _set_bits(bits: int, lo: int) -> list[int]:
+    """lo + k for every set bit k of bits, ascending."""
+    data = bits.to_bytes(-(-bits.bit_length() // 8), "little")
+    found = []
+    for start in range(0, len(data), _HOLE_PIECE_BYTES):
+        piece = int.from_bytes(data[start : start + _HOLE_PIECE_BYTES], "little")
+        base = lo + 8 * start
+        found += [base + m.start() for m in re.finditer("1", format(piece, "b")[::-1])]
+    return found
+
+
 _Unit = tuple[CatalogEntry, str, int, int]  # (entry, path, lo, hi): a whole range or one chunk
 _Row = tuple[int, list[int], float]  # a unit's verified count, counterexamples and wall ms
 
@@ -248,8 +264,7 @@ def _scan_unit(unit: _Unit) -> _Row:
         # counterexamples are the bits it sets that the window leaves clear
         sieve = window(lo, hi)
         mask = ((1 << len(ns) * ns.step) - 1) // ((1 << ns.step) - 1) << (ns.start - lo)
-        holes = mask & ~sieve
-        bad = [lo + m.start() for m in re.finditer("1", format(holes, "b")[::-1])]
+        bad = _set_bits(mask & ~sieve, lo)
         # then judge, each n once and in order: the first n of every block
         # and every counterexample, but only the control's first one, since
         # negative_control checks the rest against its enumeration

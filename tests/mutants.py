@@ -1,7 +1,8 @@
 """The mutation gate of the scan engine and the two-square filter: every
 mutant below must fail the tests.
 
-Run it as `python tests/mutants.py`, from any directory.
+Run it as `python tests/mutants.py [NAME...]`, from any directory.  With
+names, only those mutants run; an unknown name exits 2 before any test runs.
 
 Each mutant is one exact-string patch to one file under src/.  The runner
 first checks that every patch's old text occurs exactly once in its file,
@@ -113,6 +114,14 @@ MUTANTS = (
     ("counter-skips-units", SURVEY,
      "            counter.value = i + 1",
      "            counter.value = i + 2"),
+    # a same-slot walk probes from one value past rb/2, missing v + v at even rb
+    ("same-slot-probe-late", ORACLE,
+     "rb - rb // 2",
+     "rb // 2 + 1"),
+    # a same-slot pair sumset stops one value short of hi/2
+    ("same-slot-pair-short", ORACLE,
+     "hi // 2",
+     "hi // 2 - 1"),
 )
 
 
@@ -159,9 +168,16 @@ def _run(patch: tuple[str, str] | None) -> tuple[int | None, str]:
     return proc.returncode, first or (lines[-1] if lines else "")
 
 
-def main() -> int:
-    # every patch is checked before any test runs
+def main(names: list[str]) -> int:
+    # every patch is checked before any test runs, and only the named
+    # mutants run, or all of them when none is named
     patches = [(name, path, _patched(path, old, new)) for name, path, old, new in MUTANTS]
+    unknown = sorted(set(names) - {name for name, *_ in patches})
+    if unknown:
+        print(f"mutants: no mutant named {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    if names:
+        patches = [patch for patch in patches if patch[0] in names]
 
     t0 = time.perf_counter()
     code, line = _run(None)
@@ -185,4 +201,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -24,7 +24,7 @@ from mixedsums.oracle import (
 )
 from mixedsums.survey import CATALOG
 
-from bruteforce import all_witnesses, constrained_two_squares_tri, naive_count, represented
+from bruteforce import all_witnesses, constrained_two_squares_tri, naive_count, represented, tri
 
 THREE_SQUARES = FormSpec((Term(1, "sq"), Term(1, "sq"), Term(1, "sq")))
 
@@ -240,16 +240,28 @@ def test_exists_accepts_what_the_largest_middle_value_misses():
     assert all(exists(THREE_SQUARES, n) for n in LARGEST_MIDDLE_MISSES)
 
 
+def test_exists_probes_a_same_slot_split_at_half_the_remainder():
+    # 297570 = 2 * t_545 is 4x^2 + t_y + t_z only with x = 0 and
+    # t_y = t_z = t_545, so a walk that probes the repeated slot's values
+    # from rb/2 up must include rb/2 itself when rb is even
+    spec = spec_of("4*sq+1*tri+1*tri")
+    assert exists(spec, 297570)
+    assert witnesses(spec, 297570, 10).items == (
+        (0, -546, -546), (0, -546, 545), (0, 545, -546), (0, 545, 545)
+    )
+
+
 def test_walk_over_one_slot_stops_below_a_third(monkeypatch):
     # over three identical slots the largest value is at least n/3, so the
-    # walk stops there: 2,662 slot values at the control's miss 999999,
-    # against 4,708 for a walk down to 0
+    # walk stops there, and one loop fills the repeated slot's list and set:
+    # 1,662 slot values at the control's miss 999999, where a loop for each
+    # of the two inner slots reads 2,901
     value = oracle._value
     calls = []
     monkeypatch.setattr(oracle, "_value", lambda *args: calls.append(1) or value(*args))
     sq = Term(1, "sq")
     assert not oracle._walk(sq, sq, sq, 999999)
-    assert len(calls) < 3000
+    assert len(calls) < 2000
 
 
 def test_exists_miss_memory_is_sublinear():
@@ -429,6 +441,17 @@ def test_full_windows_read_few_values_at_or_below_lo():
             holed.append(str(spec))
             assert below == everything
     assert holed == ["1*sq+1*sq+2*sq", "1*sq+2*sq+3*sq", "1*sq+2*sq+4*sq"]
+
+
+@pytest.mark.parametrize("term", [Term(1, "sq"), Term(1, "tri"), Term(2, "sq"), Term(2, "tri")])
+def test_same_slot_pair_sumset_matches_bruteforce(term):
+    # a same-slot pair shifts only by the values up to hi // 2; a top bit
+    # hi = 2v that is only v + v, such as 288 = 12^2 + 12^2 for 1*sq, needs
+    # the shift by v itself
+    values = [term.coeff * (i * i if term.kind == "sq" else tri(i)) for i in range(40)]
+    for hi in range(601):
+        sums = {u + v for u in values for v in values if u + v <= hi}
+        assert oracle._pair_sumset(term, term, hi) == sum(1 << s for s in sums)
 
 
 ONE_SLOT_SPECS = [THREE_SQUARES] + [
