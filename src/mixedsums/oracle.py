@@ -297,9 +297,8 @@ def _shifted_union(bits: int, term: Term, lo: int, hi: int, floor: int = 0) -> i
     bits >> (lo - v) masked to the window, and the loop stops once every bit
     is set.  Set bits are sums u + v, and a bit is left clear only after
     every value has been tried, so the window is exact wherever it stops.  A
-    pair build (lo = 0) and a window from 0 try every value, plus one mask;
-    a narrow window high up is usually full after a few of the largest
-    values at or below lo.
+    window from 0 tries every value, plus one mask; a narrow window high up
+    is usually full after a few of the largest values at or below lo.
     """
     full = (1 << (hi - lo + 1)) - 1
     mid = _top_index(term, lo)
@@ -324,10 +323,8 @@ def _pair_sumset(first: Term, second: Term, hi: int) -> int:
     of all its values up to hi.
     """
     bits = _bits(_values(first, hi), hi)
-    if first != second:
-        return _shifted_union(bits, second, 0, hi)
     out = 0
-    for v in _values(second, hi // 2):
+    for v in _values(second, hi // 2 if first == second else hi):
         out |= bits << v
     return out & (1 << hi + 1) - 1
 

@@ -169,13 +169,14 @@ def _run(patch: tuple[str, str] | None) -> tuple[int | None, str]:
 
 
 def main(names: list[str]) -> int:
-    # every patch is checked before any test runs, and only the named
-    # mutants run, or all of them when none is named
-    patches = [(name, path, _patched(path, old, new)) for name, path, old, new in MUTANTS]
-    unknown = sorted(set(names) - {name for name, *_ in patches})
+    # an unknown name exits before any file is read; then every patch is
+    # checked before any test runs, and only the named mutants run, or all
+    # of them when none is named
+    unknown = sorted(set(names) - {name for name, *_ in MUTANTS})
     if unknown:
         print(f"mutants: no mutant named {', '.join(unknown)}", file=sys.stderr)
         return 2
+    patches = [(name, path, _patched(path, old, new)) for name, path, old, new in MUTANTS]
     if names:
         patches = [patch for patch in patches if patch[0] in names]
 

@@ -4,6 +4,7 @@ import ast
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import types
@@ -111,3 +112,36 @@ def test_cited_bench_files_exist_and_parse():
     assert cited
     for bench in cited:
         json.loads((_ROOT / bench).read_text())
+
+
+def _mutants_main():
+    return runpy.run_path(str(_ROOT / "tests" / "mutants.py"), run_name="mutants")["main"]
+
+
+# These tests stub the runner's file reads and pytest runs: in a mutant's
+# copy its own patch no longer matches, and a test that read src/ would fail
+# there for that reason alone, killing every mutant itself.
+def test_mutants_rejects_an_unknown_name_before_reading_a_file(capsys):
+    def refuse(*args):
+        raise AssertionError(f"called with {args}")
+
+    main = _mutants_main()
+    main.__globals__["_patched"] = main.__globals__["_run"] = refuse
+    assert main(["counter-skips-units", "no-such-mutant"]) == 2
+    assert "no mutant named no-such-mutant" in capsys.readouterr().err
+
+
+def test_mutants_runs_only_the_named_mutants():
+    main = _mutants_main()
+    mutants = main.__globals__["MUTANTS"]
+    names = [name for name, *_ in mutants]
+    assert len(set(names)) == len(names)
+    checked, ran = [], []
+    main.__globals__["_patched"] = lambda path, old, new: checked.append(old) or new
+    main.__globals__["_run"] = lambda patch: ran.append(patch) or (0 if patch is None else 1, "")
+    assert main(["same-slot-pair-short", "xor-union"]) == 0
+    # every patch is checked, but only the unpatched tree and the two named
+    # mutants run, in the list's order
+    assert checked == [old for _, _, old, _ in mutants]
+    by_name = {name: (path, new) for name, path, _, new in mutants}
+    assert ran == [None, by_name["xor-union"], by_name["same-slot-pair-short"]]
