@@ -1,32 +1,23 @@
 """Exact integer primitives: triangular numbers and the classical
 three-square feasibility test.
 
-Everything is plain integer arithmetic with an explicit width policy: values
-live in the signed 64-bit range, and inputs that would push an intermediate
-past it are rejected with :class:`WidthError` instead of ever wrapping.
-Top-level representation requests are capped harder (``REPRESENT_MAX``) so
-that every derived quantity used by the decomposers stays in range; the
-largest is 3(48n + 24) = 144n + 72, checked for the x2+3t+t row by
-``jacobi._check_components``, about 5.2e18 at n = 2^55.
-
-Every public integer argument passes one check, ``_check_natural``, whose
-errors name it: TypeError for a bool, float or str, ValueError when it is
-negative and WidthError above its ceiling (2^63 - 1 unless set lower).
+Python integers never wrap, so the arithmetic here and in the construction
+is exact at any width.  The width policy is the ceilings at the public
+entries alone: every public integer argument passes one check,
+``_check_natural``, whose errors name it: TypeError for a bool, float or
+str, ValueError when it is negative and WidthError above its ceiling
+(``INT64_MAX`` = 2^63 - 1 unless set lower).  ``represent`` takes at most
+``REPRESENT_MAX`` = 2^55, the ceiling its tests and golden outputs cover.
 """
 
 from __future__ import annotations
 
-import math
-
 INT64_MAX = (1 << 63) - 1
 REPRESENT_MAX = 1 << 55
 
-# largest i with i(i+1)/2 <= INT64_MAX
-_TRI_INDEX_MAX = (math.isqrt(8 * INT64_MAX + 1) - 1) // 2
-
 
 class WidthError(OverflowError):
-    """Input or result outside the supported 64-bit range."""
+    """A public integer argument above its ceiling."""
 
 
 def _check_natural(value: int, what: str, ceiling: int = INT64_MAX) -> int:
@@ -42,8 +33,6 @@ def _check_natural(value: int, what: str, ceiling: int = INT64_MAX) -> int:
 
 def triangular(i: int) -> int:
     """i(i+1)/2 for any sign of i; always >= 0 and symmetric under i -> -i-1."""
-    if not -_TRI_INDEX_MAX - 1 <= i <= _TRI_INDEX_MAX:
-        raise WidthError(f"triangular index {i} overflows 64 bits")
     return i * (i + 1) // 2
 
 

@@ -264,7 +264,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         os.close(devnull)
         return 141
     except (ValueError, OverflowError) as e:
-        # covers unknown forms, parse failures, bad bounds and width errors
+        # covers unknown forms, parse failures, bad bounds and ceiling errors
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception:

@@ -8,35 +8,20 @@ Jacobi's identity
 holds whenever x and y share a parity.  Sign flips never change a square,
 so a triple whose square-sum is divisible by 3 can always be flipped until
 all components share a residue class mod 3 (squares mod 3 are 0 or 1, which
-forces the nonzero-residue count to be 0 or 3).
+forces the nonzero-residue count to be 0 or 3).  Both steps are exact for
+integers of any width; a precondition that fails means the construction
+built a bad triple, so it raises AssertionError, even under ``python -O``.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
 
-from .arith import INT64_MAX, WidthError
-
-
-class JacobiImage(NamedTuple):
-    s: int
-    u: int
-    v: int
-
-
-def _check_components(x: int, y: int, z: int) -> None:
-    # both sides of the identity must stay inside 64 bits
-    if 3 * (x * x + y * y + z * z) > INT64_MAX:
-        raise WidthError(f"3(x^2+y^2+z^2) overflows 64 bits for ({x}, {y}, {z})")
-
-
-def jacobi_transform(x: int, y: int, z: int) -> JacobiImage:
+def jacobi_transform(x: int, y: int, z: int) -> tuple[int, int, int]:
     """Map (x,y,z) with x == y (mod 2) to (s,u,v) with
     3(x^2+y^2+z^2) = s^2 + 2u^2 + 6v^2 exactly."""
-    _check_components(x, y, z)
     if (x - y) % 2 != 0:
-        raise ValueError(f"x={x} and y={y} must share a parity")
-    return JacobiImage(x + y + z, (x + y - 2 * z) // 2, (x - y) // 2)
+        raise AssertionError(f"construction broke: x={x} and y={y} must share a parity")
+    return x + y + z, (x + y - 2 * z) // 2, (x - y) // 2
 
 
 def align_mod3(x: int, y: int, z: int) -> tuple[int, int, int]:
@@ -47,9 +32,8 @@ def align_mod3(x: int, y: int, z: int) -> tuple[int, int, int]:
     all == 0 or all == 1 (mod 3); absolute values are preserved and the
     operation is idempotent.
     """
-    _check_components(x, y, z)
     if (x * x + y * y + z * z) % 3 != 0:
-        raise ValueError("sum of squares is not divisible by 3")
+        raise AssertionError(f"construction broke: {x}^2+{y}^2+{z}^2 not divisible by 3")
     return _flip(x), _flip(y), _flip(z)
 
 

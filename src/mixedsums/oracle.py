@@ -7,7 +7,7 @@ square), or looking a remainder up among a slot's enumerated values.  The
 constructive decomposer is judged against these routines, never the other
 way around, so this module must stay independent of the construction
 machinery: it imports only the named forms and their term table (to
-translate them into term lists) and the width checks.
+translate them into term lists) and the input check.
 
 Pointwise, `exists` walks the slots' values (`_walk`), and `count` and
 `witnesses` enumerate them.  Over a whole range, `representable_window`

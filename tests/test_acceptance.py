@@ -99,7 +99,7 @@ def test_criterion_3_rotation_identity():
     for _ in range(100):
         x = rng.randint(-(10**6), 10**6)
         y = 2 * rng.randint(-499_999, 499_999) + 1 - (x & 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(AssertionError, match="construction broke"):
             jacobi_transform(x, y, rng.randint(-(10**6), 10**6))
         rejected += 1
     ok = bad == 0 and rejected == 100

@@ -10,11 +10,13 @@ import pytest
 
 import mixedsums
 import mixedsums.cli as cli
+import mixedsums.forms as forms
 import mixedsums.survey as sv
 from mixedsums.cli import main
 from mixedsums.forms import Certificate, MixedForm
 from mixedsums.oracle import MAX_ENUMERATED_N, spec_of
 from mixedsums.survey import CATALOG
+from mixedsums.three_squares import ThreeSquareRep
 
 from test_survey import _free_pool
 
@@ -316,6 +318,13 @@ def test_exit_codes_never_conflated(capsys):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "verify", lambda cert: False)
         faults.append((run(capsys, "represent", "x2+3y2+t", "5"), "failed re-verification"))
+    # a bad triple from the three-square split is caught inside the
+    # construction: a wrong one by the mod-3 alignment, and one whose
+    # 3(x^2+y^2+z^2) is past 64 bits by an exact division
+    for comps in ((1, 0, 0), (3 << 31, 3 << 31, 3 << 31)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forms, "three_squares", lambda m, c=comps: ThreeSquareRep(m, *c))
+            faults.append((run(capsys, "represent", "x2+3y2+t", "5"), "construction broke"))
     # a certificate that does not verify is a fault of the program, never a
     # counterexample, whether the scan ran here or in a pool worker
     with pytest.MonkeyPatch.context() as mp:

@@ -250,6 +250,8 @@ def test_certificate_json_fuzz(text):
     except ValueError:
         return
     assert Certificate.from_json(cert.to_json()) == cert
+    # exact at any width: a field past 64 bits is judged, never refused
+    assert verify(cert) == (naive_evaluate(cert.form, cert.x, cert.y, cert.z) == cert.n)
 
 
 def test_certificate_is_frozen_and_survives_copy_and_pickle():

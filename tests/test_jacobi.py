@@ -4,10 +4,10 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from mixedsums.arith import WidthError
-from mixedsums.jacobi import JacobiImage, align_mod3, jacobi_transform
+from mixedsums.jacobi import align_mod3, jacobi_transform
 
-components = st.integers(min_value=-(10**6), max_value=10**6)
+# past 64 bits: the identity and the alignment are exact at any width
+components = st.integers(min_value=-(2**100), max_value=2**100)
 
 
 @given(components, components, components)
@@ -19,22 +19,17 @@ def test_identity_holds_on_parity_valid_triples(x, y, z):
 
 
 def test_transform_values():
-    assert jacobi_transform(4, 2, 2) == JacobiImage(8, 1, 1)
-    assert jacobi_transform(0, 0, 0) == JacobiImage(0, 0, 0)
-    assert jacobi_transform(-8, -2, -2) == JacobiImage(-12, -3, -3)
+    assert jacobi_transform(4, 2, 2) == (8, 1, 1)
+    assert jacobi_transform(0, 0, 0) == (0, 0, 0)
+    assert jacobi_transform(-8, -2, -2) == (-12, -3, -3)
 
 
 @given(components, components, components)
 def test_parity_violations_rejected(x, y, z):
     if (x - y) % 2 == 0:
         y += 1
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError, match="construction broke"):
         jacobi_transform(x, y, z)
-
-
-def test_transform_width_guard():
-    with pytest.raises(WidthError):
-        jacobi_transform(1 << 62, 1 << 62, 0)
 
 
 @given(components, components, components)
@@ -54,5 +49,5 @@ def test_align_mod3_values():
 
 
 def test_align_mod3_rejects_bad_sum():
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError, match="construction broke"):
         align_mod3(1, 0, 0)
